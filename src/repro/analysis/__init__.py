@@ -19,8 +19,6 @@ Public API
   :func:`~repro.analysis.fitting.classify_growth`
 * tables: :func:`~repro.analysis.tables.format_table`,
   :func:`~repro.analysis.tables.format_records`
-* experiments: backwards-compatible wrappers
-  (:mod:`repro.analysis.experiments`)
 """
 
 from .aggregate import (
@@ -45,7 +43,6 @@ from .experiment_spec import (
 from .fitting import FitResult, classify_growth, fit_exponential, fit_power_law
 from .render import FORMATS, TableData, render
 from .tables import format_records, format_table
-from . import experiments
 from ..ticksim import experiments as _tick_experiments  # noqa: F401  (registers T1-T3)
 
 __all__ = [
@@ -73,5 +70,4 @@ __all__ = [
     "render",
     "format_records",
     "format_table",
-    "experiments",
 ]

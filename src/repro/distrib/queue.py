@@ -48,6 +48,7 @@ except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
 
 from ..exceptions import QueueError
+from ..fileio import atomic_write, json_line
 from ..obs.events import JOURNAL_DIR_NAME, EventJournal
 from ..obs.metrics import get_registry
 from ..runtime.spec import SPEC_KEY_VERSION, ScenarioSpec, canonical_json
@@ -72,13 +73,25 @@ def unit_id(keys: Sequence[str]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
-    tmp = path.with_suffix(path.suffix + f".tmp-{os.getpid()}")
-    tmp.write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
-    os.replace(tmp, path)
+def _claim_line(
+    uid: str,
+    worker: str,
+    created: float,
+    expires: float,
+    steals: int = 0,
+    stolen_from: Optional[str] = None,
+) -> str:
+    """A claim file's content; ``stolen_from`` only once the unit was stolen."""
+    claim: Dict[str, Any] = {
+        "unit": uid,
+        "worker": worker,
+        "created": created,
+        "expires": expires,
+        "steals": steals,
+    }
+    if stolen_from:
+        claim["stolen_from"] = stolen_from
+    return json_line(claim)
 
 
 def _read_json(path: Path) -> Optional[Dict[str, Any]]:
@@ -125,12 +138,11 @@ class WorkQueue:
         elif create:
             for sub in (_UNITS_DIR, _CLAIMS_DIR, _DONE_DIR, _RESULTS_DIR, _LOGS_DIR):
                 (self.root / sub).mkdir(parents=True, exist_ok=True)
-            _atomic_write_json(
+            atomic_write(
                 self._meta_path,
-                {
-                    "format_version": QUEUE_FORMAT_VERSION,
-                    "spec_key_version": SPEC_KEY_VERSION,
-                },
+                json_line(
+                    {"format_version": QUEUE_FORMAT_VERSION, "spec_key_version": SPEC_KEY_VERSION}
+                ),
             )
         elif self.root.exists():
             raise QueueError(
@@ -223,13 +235,9 @@ class WorkQueue:
         path = self.unit_path(uid)
         if path.exists():
             return uid, False
-        _atomic_write_json(
+        atomic_write(
             path,
-            {
-                "unit": uid,
-                "keys": keys,
-                "cells": [spec.to_dict() for spec in specs],
-            },
+            json_line({"unit": uid, "keys": keys, "cells": [spec.to_dict() for spec in specs]}),
         )
         return uid, True
 
@@ -262,7 +270,7 @@ class WorkQueue:
         return _read_json(self.done_path(uid))
 
     def write_done(self, uid: str, payload: Dict[str, Any]) -> None:
-        _atomic_write_json(self.done_path(uid), payload)
+        atomic_write(self.done_path(uid), json_line(payload))
         self._emit(
             "unit.cancelled" if payload.get("cancelled") else "unit.done",
             unit=uid,
@@ -300,16 +308,6 @@ class WorkQueue:
         steals: int = 0,
         stolen_from: Optional[str] = None,
     ) -> bool:
-        claim: Dict[str, Any] = {
-            "unit": uid,
-            "worker": worker,
-            "created": now,
-            "expires": now + ttl,
-            "steals": steals,
-        }
-        if stolen_from is not None:
-            claim["stolen_from"] = stolen_from
-        payload = json.dumps(claim, sort_keys=True, separators=(",", ":"))
         try:
             descriptor = os.open(
                 self.claim_path(uid), os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
@@ -317,7 +315,7 @@ class WorkQueue:
         except FileExistsError:
             return False
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+            handle.write(_claim_line(uid, worker, now, now + ttl, steals, stolen_from))
         return True
 
     def try_claim(
@@ -354,20 +352,10 @@ class WorkQueue:
                 return True
             return False
         if claim.get("worker") == worker:
-            _atomic_write_json(
+            steals, stolen_from = int(claim.get("steals", 0)), claim.get("stolen_from")
+            atomic_write(
                 self.claim_path(uid),
-                {
-                    "unit": uid,
-                    "worker": worker,
-                    "created": now,
-                    "expires": now + ttl,
-                    "steals": int(claim.get("steals", 0)),
-                    **(
-                        {"stolen_from": claim["stolen_from"]}
-                        if claim.get("stolen_from")
-                        else {}
-                    ),
-                },
+                _claim_line(uid, worker, now, now + ttl, steals, stolen_from),
             )
             claims_total.inc(kind="reclaim")
             self._emit("unit.claim", unit=uid, worker=worker, kind="reclaim", ts=now)
@@ -425,20 +413,11 @@ class WorkQueue:
         claim = self.read_claim(uid)
         if claim is None or claim.get("worker") != worker:
             return False
-        _atomic_write_json(
+        created = float(claim.get("created", now))
+        steals, stolen_from = int(claim.get("steals", 0)), claim.get("stolen_from")
+        atomic_write(
             self.claim_path(uid),
-            {
-                "unit": uid,
-                "worker": worker,
-                "created": float(claim.get("created", now)),
-                "expires": now + ttl,
-                "steals": int(claim.get("steals", 0)),
-                **(
-                    {"stolen_from": claim["stolen_from"]}
-                    if claim.get("stolen_from")
-                    else {}
-                ),
-            },
+            _claim_line(uid, worker, created, now + ttl, steals, stolen_from),
         )
         get_registry().counter(
             "repro_queue_lease_renewals_total", "Live leases extended mid-unit"

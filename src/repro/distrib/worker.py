@@ -236,7 +236,7 @@ class Worker:
 
         cell_clock = {"last": time.perf_counter()}
 
-        def on_cell(done: int, total: int, record: RunRecord, cached: bool = False) -> None:
+        def on_cell(done: int, total: int, record: RunRecord, cached: bool) -> None:
             now = time.perf_counter()
             seconds = now - cell_clock["last"]
             cell_clock["last"] = now

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import socket
 import time
@@ -54,6 +53,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from ..exceptions import ReproError
+from ..fileio import append_line, atomic_write, json_line, split_lines
 
 __all__ = [
     "EventJournal",
@@ -77,23 +77,6 @@ _SHARD_PREFIX = "events--"
 
 #: Writer names become file-name components; same shape rule as FileStore.
 _WRITER_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
-
-
-def _atomic_write_json(path: Path, payload: Mapping[str, Any]) -> None:
-    tmp = path.with_suffix(path.suffix + f".tmp-{os.getpid()}")
-    tmp.write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
-    os.replace(tmp, path)
-
-
-def _split_lines(text: str) -> List[str]:
-    """Complete (newline-terminated) lines only: a torn tail is not data."""
-    if not text:
-        return []
-    lines = text.split("\n")
-    return lines[:-1]
 
 
 class EventJournal:
@@ -167,9 +150,7 @@ class EventJournal:
                 # A restarted writer continues its own numbering: seq picks up
                 # after the last complete line of its previous life's shard.
                 try:
-                    self._seq = len(
-                        _split_lines(path.read_text(encoding="utf-8"))
-                    )
+                    self._seq = len(split_lines(path.read_text(encoding="utf-8"))[0])
                 except OSError:
                     self._seq = 0
             self._handle = path.open("a", encoding="utf-8")
@@ -191,11 +172,7 @@ class EventJournal:
             "seq": self._seq,
         }
         event.update(fields)
-        line = json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
-        handle.write(line)
-        handle.flush()
-        if self.fsync:
-            os.fsync(handle.fileno())
+        append_line(handle, event, self.fsync)
         self._seq += 1
         return event
 
@@ -208,7 +185,7 @@ class EventJournal:
         """
         event = self.append("worker.heartbeat", **fields)
         self.heartbeat_root.mkdir(parents=True, exist_ok=True)
-        _atomic_write_json(self.heartbeat_root / f"{self.writer}.json", event)
+        atomic_write(self.heartbeat_root / f"{self.writer}.json", json_line(event))
         return event
 
     def close(self) -> None:
@@ -247,7 +224,7 @@ class EventJournal:
                 text = path.read_text(encoding="utf-8")
             except OSError:
                 continue
-            for line in _split_lines(text):
+            for line in split_lines(text)[0]:
                 if not line.strip():
                     continue
                 try:

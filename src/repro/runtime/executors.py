@@ -16,9 +16,9 @@ of :class:`~repro.runtime.spec.ScenarioSpec`) into a
   facade free of the distributed machinery.
 
 Both backends preserve cell order and call an optional progress callback
-``progress(done, total, record)`` as records arrive; a callback declaring a
-fourth parameter additionally receives ``cached`` — whether the record was
-served from the result store rather than executed.
+``progress(done, total, record)`` as records arrive.  ``run_sweep``'s own
+callback is ``progress(done, total, record, cached)``, where ``cached`` says
+whether the record was served from the result store rather than executed.
 
 ``run_sweep(..., store=..., resume=True)`` integrates the content-addressed
 result store (:mod:`repro.store`): cached cells are served without touching
@@ -30,7 +30,6 @@ most its in-flight cells.
 from __future__ import annotations
 
 import concurrent.futures
-import inspect
 import time
 import warnings
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Union
@@ -53,36 +52,11 @@ __all__ = [
     "run_sweep",
 ]
 
-#: ``(done, total, record)`` or ``(done, total, record, cached)``.
-ProgressCallback = Callable[..., None]
+#: An executor's per-record callback: ``(done, total, record)``.
+ProgressCallback = Callable[[int, int, RunRecord], None]
 
-
-def _progress_notifier(
-    progress: Optional[ProgressCallback],
-) -> Optional[Callable[[int, int, RunRecord, bool], None]]:
-    """Adapt a user callback to the internal 4-argument form.
-
-    Three-parameter callbacks (the historical signature) keep working; a
-    callback with four or more positional parameters (or ``*args``) also
-    gets the ``cached`` flag.
-    """
-    if progress is None:
-        return None
-    try:
-        parameters = inspect.signature(progress).parameters.values()
-        positional = [
-            p
-            for p in parameters
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-        ]
-        wants_cached = len(positional) >= 4 or any(
-            p.kind == p.VAR_POSITIONAL for p in parameters
-        )
-    except (TypeError, ValueError):
-        wants_cached = False
-    if wants_cached:
-        return progress
-    return lambda done, total, record, _cached: progress(done, total, record)
+#: ``run_sweep``'s callback: ``(done, total, record, cached)``.
+SweepProgress = Callable[[int, int, RunRecord, bool], None]
 
 
 class Executor:
@@ -222,7 +196,7 @@ def run_sweep(
     sweep: Union[SweepSpec, Iterable[ScenarioSpec]],
     executor: Optional[Executor] = None,
     model: Optional[CostModel] = None,
-    progress: Optional[ProgressCallback] = None,
+    progress: Optional[SweepProgress] = None,
     store: Optional["ResultStore"] = None,
     resume: bool = True,
     trace: bool = False,
@@ -266,15 +240,14 @@ def run_sweep(
             stacklevel=2,
         )
         trace = False
-    notify = _progress_notifier(progress)
     cells_total = get_registry().counter(
         "repro_sweep_cells_total", "Sweep cells by outcome (cached vs executed)"
     )
     if store is None:
         plain = (
             None
-            if notify is None
-            else lambda done, total, record: notify(done, total, record, False)
+            if progress is None
+            else lambda done, total, record: progress(done, total, record, False)
         )
         records = executor.map_specs(specs, model=model, progress=plain, trace=trace)
         cells_total.inc(len(records), status="executed")
@@ -293,16 +266,16 @@ def run_sweep(
     for record in slots:
         if record is not None:
             done += 1
-            if notify is not None:
-                notify(done, total, record, True)
+            if progress is not None:
+                progress(done, total, record, True)
     pending = [(index, specs[index]) for index in range(total) if slots[index] is None]
     progress_state = {"done": done}
 
     def on_fresh(_completed: int, _pending_total: int, record: RunRecord) -> None:
         store.put(record)
         progress_state["done"] += 1
-        if notify is not None:
-            notify(progress_state["done"], total, record, False)
+        if progress is not None:
+            progress(progress_state["done"], total, record, False)
 
     fresh = executor.map_specs(
         [spec for _index, spec in pending], model=model, progress=on_fresh, trace=trace

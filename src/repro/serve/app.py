@@ -92,6 +92,9 @@ MAX_PAGE_LIMIT = 1000
 #: Default /runs page size.
 DEFAULT_PAGE_LIMIT = 50
 
+#: Largest request body the server reads; a bigger one is refused unread (413).
+MAX_BODY_BYTES = 1 << 20
+
 
 class Response(NamedTuple):
     """One materialised HTTP response: status, extra headers, body bytes."""
@@ -117,6 +120,17 @@ def _json_response(
     if headers:
         merged.update(headers)
     return Response(status, merged, body)
+
+
+def _body_length(header: Optional[str]) -> int:
+    """The declared ``Content-Length``, checked before any body byte is read."""
+    raw = (header or "0").strip()
+    if not (raw.isascii() and raw.isdigit()):
+        raise _HTTPError(400, f"Content-Length must be a non-negative integer, got {header!r}")
+    length = int(raw)
+    if length > MAX_BODY_BYTES:
+        raise _HTTPError(413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
+    return length
 
 
 def _int_param(params: Dict[str, str], name: str, default: int) -> int:
@@ -631,11 +645,17 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         parsed = urlsplit(self.path)
         params = {key: values[-1] for key, values in parse_qs(parsed.query).items()}
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        response = self.service.handle(
-            method, parsed.path, params=params, headers=dict(self.headers), body=body
-        )
+        try:
+            length = _body_length(self.headers.get("Content-Length"))
+        except _HTTPError as error:
+            # The unread body makes the connection unusable: answer, then close.
+            response = _json_response({"error": str(error)}, error.status)
+            response.headers["Connection"] = "close"
+        else:
+            body = self.rfile.read(length) if length else b""
+            response = self.service.handle(
+                method, parsed.path, params=params, headers=dict(self.headers), body=body
+            )
         self.send_response(response.status)
         for name, value in response.headers.items():
             self.send_header(name, value)

@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Union
 from ..distrib.dispatcher import DEFAULT_UNIT_SIZE, Dispatcher
 from ..distrib.queue import WorkQueue
 from ..exceptions import QueueError, ReproError
+from ..fileio import atomic_write, json_line
 from ..runtime.spec import SweepSpec, canonical_json
 from ..store.base import ResultStore
 
@@ -100,12 +101,7 @@ class SweepJobs:
         }
         path = self.job_path(jid)
         if not path.exists():
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(
-                json.dumps(job, sort_keys=True, separators=(",", ":")) + "\n",
-                encoding="utf-8",
-            )
-            tmp.replace(path)
+            atomic_write(path, json_line(job))
             self._emit(
                 "job.submit",
                 job=jid,

@@ -59,6 +59,7 @@ except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
 
 from ..exceptions import StoreCorruptionError, StoreError
+from ..fileio import TMP_MARK, append_line, atomic_write, json_line, split_lines
 from ..obs.metrics import get_registry
 from ..runtime.records import RunRecord
 from ..runtime.spec import SPEC_KEY_VERSION
@@ -80,34 +81,6 @@ _SHARD_DIR = "shards"
 
 #: Writer namespaces become file-name components; keep them boring.
 _WRITER_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
-
-
-def _append_line(handle: IO[str], payload: Dict[str, Any], fsync: bool) -> int:
-    line = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    handle.write(line)
-    handle.flush()
-    if fsync:
-        os.fsync(handle.fileno())
-    return len(line.encode("utf-8"))
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _split_lines(text: str) -> Tuple[list, bool]:
-    """Split shard/index text into complete lines; flag an unterminated tail.
-
-    A line is only trusted once its terminating newline hit the disk, so the
-    partial tail of a killed write is excluded from the body and reported.
-    """
-    if not text:
-        return [], False
-    lines = text.split("\n")
-    truncated = lines[-1] != ""
-    return lines[:-1], truncated
 
 
 class FileStore(ResultStore):
@@ -208,46 +181,54 @@ class FileStore(ResultStore):
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
     def _open(self, create: bool) -> None:
-        if self._meta_path.exists():
-            try:
-                meta = json.loads(self._meta_path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as error:
-                raise StoreError(f"unreadable store metadata {self._meta_path}: {error}")
-            if meta.get("format_version") != FORMAT_VERSION:
-                raise StoreError(
-                    f"store {self.root} uses layout version {meta.get('format_version')}, "
-                    f"this code reads version {FORMAT_VERSION}"
-                )
-            if meta.get("spec_key_version") != SPEC_KEY_VERSION:
-                raise StoreError(
-                    f"store {self.root} was written with spec-key version "
-                    f"{meta.get('spec_key_version')} (current: {SPEC_KEY_VERSION}); "
-                    "run 'repro store gc' after re-running the sweeps, or start a fresh store"
-                )
-        elif self.root.exists() and any(self.root.iterdir()):
+        if not self._meta_path.exists():
+            self._create(create)
+        try:
+            meta = json.loads(self._meta_path.read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as error:
+            raise StoreError(f"unreadable store metadata {self._meta_path}: {error}")
+        if meta.get("format_version") != FORMAT_VERSION:
+            raise StoreError(
+                f"store {self.root} uses layout version {meta.get('format_version')}, "
+                f"this code reads version {FORMAT_VERSION}"
+            )
+        if meta.get("spec_key_version") != SPEC_KEY_VERSION:
+            raise StoreError(
+                f"store {self.root} was written with spec-key version "
+                f"{meta.get('spec_key_version')} (current: {SPEC_KEY_VERSION}); "
+                "run 'repro store gc' after re-running the sweeps, or start a fresh store"
+            )
+        (self.root / _SHARD_DIR).mkdir(parents=True, exist_ok=True)
+        self._load_index()
+        self._load_last_read()
+
+    def _create(self, create: bool) -> None:
+        """Write a new store's metadata; safe when peers create it concurrently.
+
+        The metadata is the first file of a store (only its writers' temp
+        files precede it), so a directory holding anything else either got
+        its metadata from a peer meanwhile or is not a store at all.
+        """
+        entries = list(self.root.iterdir()) if self.root.exists() else []
+        if any(not entry.name.startswith(_META_NAME + TMP_MARK) for entry in entries):
+            if self._meta_path.exists():
+                return
             raise StoreError(
                 f"{self.root} exists but holds no store metadata — refusing to "
                 "treat an arbitrary directory as a result store"
             )
-        elif create:
-            (self.root / _SHARD_DIR).mkdir(parents=True, exist_ok=True)
-            _atomic_write(
-                self._meta_path,
-                json.dumps(
-                    {
-                        "format_version": FORMAT_VERSION,
-                        "spec_key_version": SPEC_KEY_VERSION,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n",
-            )
-        else:
+        if not create:
             raise StoreError(f"no result store at {self.root}")
-        (self.root / _SHARD_DIR).mkdir(parents=True, exist_ok=True)
-        self._load_index()
-        self._load_last_read()
+        self.root.mkdir(parents=True, exist_ok=True)
+        atomic_write(
+            self._meta_path,
+            json.dumps(
+                {"format_version": FORMAT_VERSION, "spec_key_version": SPEC_KEY_VERSION},
+                indent=2,
+                sort_keys=True,
+            )
+            + "\n",
+        )
 
     def _load_last_read(self) -> None:
         """Load the advisory last-access map (tolerating absence/corruption).
@@ -290,7 +271,7 @@ class FileStore(ResultStore):
         """
         counts: Dict[str, int] = {}
         if self._index_path.exists():
-            body, truncated = _split_lines(self._index_path.read_text(encoding="utf-8"))
+            body, truncated = split_lines(self._index_path.read_text(encoding="utf-8"))
             if truncated:
                 self._truncated_dropped += 1
             for lineno, line in enumerate(body, start=1):
@@ -312,7 +293,7 @@ class FileStore(ResultStore):
                 if key not in self._index:
                     self._index[key] = shard
                     with self._locked():
-                        _append_line(
+                        append_line(
                             self._index_append_handle(), {"key": key, "shard": shard}, self.fsync
                         )
         self._index_seen = self._index_fingerprint()
@@ -343,7 +324,7 @@ class FileStore(ResultStore):
         path = self._shard_path(shard)
         if not path.exists():
             return
-        body, _truncated = _split_lines(path.read_text(encoding="utf-8"))
+        body, _truncated = split_lines(path.read_text(encoding="utf-8"))
         yield from body
 
     # ------------------------------------------------------------------
@@ -363,7 +344,7 @@ class FileStore(ResultStore):
         dropped = 0
         if not path.exists():
             return records, dropped
-        body, truncated = _split_lines(path.read_text(encoding="utf-8"))
+        body, truncated = split_lines(path.read_text(encoding="utf-8"))
         if truncated:
             self._truncated_dropped += 1
         for lineno, line in enumerate(body, start=1):
@@ -419,13 +400,13 @@ class FileStore(ResultStore):
 
     def _append_record(self, key: str, record: RunRecord) -> None:
         shard = self._shard_for(key)
-        nbytes = _append_line(
+        nbytes = append_line(
             self._shard_append_handle(shard),
             {"key": key, "record": record.to_dict()},
             self.fsync,
         )
         with self._locked():
-            nbytes += _append_line(
+            nbytes += append_line(
                 self._index_append_handle(), {"key": key, "shard": shard}, self.fsync
             )
         registry = get_registry()
@@ -516,10 +497,7 @@ class FileStore(ResultStore):
                 for key, stamp in self._last_read.items():
                     if merged.get(key, 0.0) < stamp:
                         merged[key] = stamp
-            _atomic_write(
-                self._lastread_path,
-                json.dumps(merged, sort_keys=True, separators=(",", ":")) + "\n",
-            )
+            atomic_write(self._lastread_path, json_line(merged))
         self._last_read = merged
         self._lastread_dirty = False
 
@@ -573,7 +551,7 @@ class FileStore(ResultStore):
         before = sum(path.stat().st_size for path in shard_paths)
         merged: Dict[str, RunRecord] = {}
         for path in shard_paths:
-            body, _ = _split_lines(path.read_text(encoding="utf-8"))
+            body, _ = split_lines(path.read_text(encoding="utf-8"))
             records, dropped = self._parse_shard(path.stem, salvage=True)
             total_lines += len(body)
             dropped_corrupt += dropped
@@ -581,23 +559,19 @@ class FileStore(ResultStore):
         dropped_duplicate = max(0, total_lines - dropped_corrupt - len(merged))
 
         lines_of = {
-            key: json.dumps(
-                {"key": key, "record": record.to_dict()},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
+            key: json_line({"key": key, "record": record.to_dict()})
             for key, record in merged.items()
         }
         evicted = 0
         if max_records is not None or max_bytes is not None:
-            total_bytes = sum(len(line) + 1 for line in lines_of.values())
+            total_bytes = sum(len(line) for line in lines_of.values())
             # Oldest access first; never-accessed records (stamp 0.0) lead.
             for key in sorted(merged, key=lambda k: (self._last_read.get(k, 0.0), k)):
                 over_records = max_records is not None and len(merged) > max_records
                 over_bytes = max_bytes is not None and total_bytes > max_bytes
                 if not (over_records or over_bytes):
                     break
-                total_bytes -= len(lines_of.pop(key)) + 1
+                total_bytes -= len(lines_of.pop(key))
                 del merged[key]
                 evicted += 1
 
@@ -611,16 +585,13 @@ class FileStore(ResultStore):
                 if path.stem not in by_shard:
                     path.unlink()
             for shard, records in sorted(by_shard.items()):
-                _atomic_write(
-                    self._shard_path(shard),
-                    "\n".join(lines_of[key] for key in records) + "\n",
+                atomic_write(
+                    self._shard_path(shard), "".join(lines_of[key] for key in records)
                 )
                 for key in records:
-                    index_lines.append(
-                        json.dumps({"key": key, "shard": shard}, sort_keys=True, separators=(",", ":"))
-                    )
+                    index_lines.append(json_line({"key": key, "shard": shard}))
                     new_index[key] = shard
-            _atomic_write(self._index_path, "\n".join(index_lines) + "\n" if index_lines else "")
+            atomic_write(self._index_path, "".join(index_lines))
         after = sum(
             path.stat().st_size for path in (self.root / _SHARD_DIR).glob("*.jsonl")
         )
@@ -655,15 +626,11 @@ class FileStore(ResultStore):
             for path in sorted((self.root / _SHARD_DIR).glob("*.jsonl")):
                 for key in self._parse_shard(path.stem, salvage=self.salvage)[0]:
                     entries[key] = path.stem
-            _atomic_write(
+            atomic_write(
                 self._index_path,
-                "\n".join(
-                    json.dumps({"key": key, "shard": shard}, sort_keys=True, separators=(",", ":"))
-                    for key, shard in entries.items()
-                )
-                + "\n"
-                if entries
-                else "",
+                "".join(
+                    json_line({"key": key, "shard": shard}) for key, shard in entries.items()
+                ),
             )
         self._index = entries
         self._index_seen = self._index_fingerprint()

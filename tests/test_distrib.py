@@ -339,7 +339,7 @@ class TestQueueExecutor:
         second = run_sweep(
             second_sweep,
             executor=executor,
-            progress=lambda done, total, record: events.append((done, total)),
+            progress=lambda done, total, record, cached: events.append((done, total)),
         )
         assert events == [(1, 2), (2, 2)]  # not inflated by the first sweep
         assert second.records == run_sweep(second_sweep).records

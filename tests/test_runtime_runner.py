@@ -96,10 +96,12 @@ class TestExecutors:
         result = run_sweep(
             SweepSpec(sizes=(4, 6), label_sets=((1, 2),)),
             executor=SerialExecutor(),
-            progress=lambda done, total, record: seen.append((done, total, record.ok)),
+            progress=lambda done, total, record, cached: seen.append(
+                (done, total, record.ok, cached)
+            ),
         )
         assert len(result) == 2
-        assert seen == [(1, 2, True), (2, 2, True)]
+        assert seen == [(1, 2, True, False), (2, 2, True, False)]
 
     def test_serial_and_process_pool_results_identical(self):
         serial = run_sweep(SMALL_GRID, executor=SerialExecutor())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -20,6 +21,7 @@ from repro.distrib.worker import Worker
 from repro.runtime.executors import run_sweep
 from repro.runtime.spec import SweepSpec
 from repro.serve import ResultService, SweepJobs, job_id, make_server
+from repro.serve.app import MAX_BODY_BYTES
 from repro.store import FileStore, MemoryStore, merge_stores
 
 from .test_experiments import golden
@@ -363,6 +365,42 @@ class TestOverHTTP:
             urllib.request.urlopen(f"{served}/bogus")
         assert err.value.code == 404
         assert "error" in json.load(err.value)
+
+
+    @staticmethod
+    def _raw_post(url, content_length):
+        """POST /sweeps with a raw ``Content-Length`` and no body; the reply."""
+        host, port = url.rsplit("/", 1)[1].split(":")
+        request = (
+            f"POST /sweeps HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {content_length}\r\n\r\n"
+        )
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(request.encode("ascii"))
+            reply = b""
+            while True:
+                chunk = sock.recv(65536)  # the server closes after answering
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status = int(head.split(b" ", 2)[1])
+        return status, head.decode("ascii").lower(), json.loads(body)
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1_0"])
+    def test_bad_content_length_is_refused(self, served, value):
+        status, head, body = self._raw_post(served, value)
+        assert status == 400
+        assert "connection: close" in head
+        assert "Content-Length" in body["error"]
+
+    def test_oversized_body_is_refused_unread(self, served):
+        status, head, body = self._raw_post(served, MAX_BODY_BYTES + 1)
+        assert status == 413
+        assert "connection: close" in head
+        assert str(MAX_BODY_BYTES) in body["error"]
+        with urllib.request.urlopen(f"{served}/healthz") as response:
+            assert json.load(response) == {"ok": True}
 
 
 class TestReadWhileWrite:

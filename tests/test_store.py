@@ -15,7 +15,7 @@ from repro.runtime import ScenarioSpec, SweepSpec, spec_key
 from repro.runtime.executors import ProcessPoolExecutor, run_sweep
 from repro.runtime.records import RunRecord
 from repro.runtime.runner import run
-from repro.store import CachingRunner, FileStore, MemoryStore, open_store
+from repro.store import FileStore, MemoryStore, open_store
 
 #: A small, fast grid reused by most sweep tests (4 cells, trivial scenarios).
 GRID = SweepSpec(sizes=(4, 6), seeds=(0, 1), name="store-tests")
@@ -256,11 +256,6 @@ class TestRunSweepWithStore:
         assert all(e[1] == len(GRID) for e in events)
         assert [e[3] for e in events] == [True, True, False, False]
 
-    def test_three_argument_progress_still_works(self, tmp_path):
-        events = []
-        run_sweep(GRID, store=MemoryStore(), progress=lambda done, total, record: events.append(done))
-        assert events == [1, 2, 3, 4]
-
     def test_store_is_written_incrementally(self, tmp_path):
         """Every record is persisted as it completes, not at sweep end."""
         store = FileStore(tmp_path / "store")
@@ -284,15 +279,14 @@ class TestRunSweepWithStore:
         assert resumed.cache_hits == len(GRID)
         assert resumed.records == serial.records
 
-
-class TestCachingRunner:
-    def test_counts_hits_and_executions(self):
-        runner = CachingRunner(MemoryStore())
+    def test_single_spec_counts_hits_and_executions(self):
+        store = MemoryStore()
         spec = ScenarioSpec(size=4)
-        first = runner.run(spec)
-        second = runner(spec)
-        assert first == second
-        assert (runner.hits, runner.executed) == (1, 1)
+        first = run_sweep([spec], store=store)
+        second = run_sweep([spec], store=store)
+        assert first.records == second.records
+        assert (first.cache_hits, first.executed) == (0, 1)
+        assert (second.cache_hits, second.executed) == (1, 0)
 
 
 class TestQueryLayer:

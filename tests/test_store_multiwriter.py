@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -21,6 +22,20 @@ from repro.store import FileStore, MemoryStore, merge_stores
 
 def _record(size: int, seed: int = 0) -> RunRecord:
     return run(ScenarioSpec(size=size, seed=seed))
+
+
+def _create_stores(base: Path, trials: int, barrier, outcomes) -> None:
+    """Open ``trials`` fresh stores under ``base`` in lockstep with peers."""
+    errors = []
+    try:
+        for trial in range(trials):
+            barrier.wait(timeout=60)
+            try:
+                FileStore(base / f"s{trial}", create=True).close()
+            except Exception as error:  # reported, not raised: the parent asserts
+                errors.append(f"{type(error).__name__}: {error}")
+    finally:
+        outcomes.put(errors)
 
 
 def _tampered_copy(record: RunRecord) -> RunRecord:
@@ -113,6 +128,29 @@ class TestWriterNamespaces:
                 for size in size_args:
                     spec = ScenarioSpec(size=int(size), seed=7)
                     assert store.get(spec) == run(spec)
+
+    def test_concurrent_creation_of_one_store(self, tmp_path):
+        """Peers opening the same fresh root with create=True all succeed."""
+        peers, trials = 4, 40
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(peers)
+        outcomes = context.Queue()
+        procs = [
+            context.Process(target=_create_stores, args=(tmp_path, trials, barrier, outcomes))
+            for _ in range(peers)
+        ]
+        for proc in procs:
+            proc.start()
+        errors = [error for _ in procs for error in outcomes.get(timeout=120)]
+        for proc in procs:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0
+        assert errors == []
+        for trial in range(trials):
+            root = tmp_path / f"s{trial}"
+            assert sorted(entry.name for entry in root.iterdir()) == ["shards", "store.meta.json"]
+            with FileStore(root, create=False) as store:
+                assert len(store) == 0
 
     def test_gc_collapses_writer_namespaces(self, tmp_path):
         root = tmp_path / "s"
