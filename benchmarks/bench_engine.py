@@ -6,7 +6,9 @@ ratchets the engine loop itself, so a regression in the hot path shows up in
 adversaries cover the two execution paths:
 
 * ``round_robin`` — complete traversals only; the engine runs its fused
-  round-robin loop where occupancy lives in a flat node array.
+  round-robin loop, which inlines the round-robin decide and keeps
+  occupancy in a flat node array, and shares meeting emission, program
+  driving and termination checks with the generic loop.
 * ``avoider`` — partial advances chosen through ``max_safe_advance``; agents
   sit strictly inside edges, so every decision exercises the per-edge integer
   lattices of the neighbor index.

@@ -268,9 +268,10 @@ def run_esst(
     moving agent's cost does not depend on its speed.
 
     This driver is a *flat* transliteration of :func:`esst_procedure` +
-    :func:`_phase`: the same walks, the same abort rules, the same tape
-    discipline, but as plain loops over the adjacency table instead of the
-    generator tower (program → phase → step) that the in-engine agent needs.
+    :func:`_phase`: the same walks, the same abort rules, the same
+    backtracks, but as plain loops over the adjacency table instead of the
+    generator tower (program → phase → step) that the in-engine agent needs,
+    and with only the current phase's tape kept in memory.
     Driving a generator step costs more than an entire flat iteration, so the
     Theorem-2.1 experiments run an order of magnitude faster this way.
     :func:`run_esst_reference` keeps the generator-driven driver;
@@ -309,7 +310,12 @@ def run_esst(
         adj = [adj[node] for node in range(len(adj))]
 
     edge_ints: Set[int] = set()
-    tape: List[int] = []  # entry port of every move, append-only
+    # Entry ports of the current phase's moves.  Only the trunk and the probe
+    # being walked are ever read back (to backtrack them), so the tape is
+    # cleared at each phase start; ``moves`` counts the moves of earlier
+    # phases and of replayed probes.
+    tape: List[int] = []
+    moves = 0
     edges_add = edge_ints.add
     tape_append = tape.append
 
@@ -325,9 +331,11 @@ def run_esst(
         ``token_edge_int`` / ``token_node`` match nothing when the token sits
         on the other kind of point (or, for ``-1``, outside the graph).
         """
+        nonlocal moves
+        moves += len(tape)
+        tape.clear()
         # -- 1. the trunk R(2i, v); clean = every visited degree <= i - 1.
         phase_start_sightings = sightings
-        trunk_mark = len(tape)
         trunk_exit_ports: List[int] = []
         trunk_ports_append = trunk_exit_ports.append
         row = adj[current]
@@ -362,7 +370,7 @@ def run_esst(
 
         # -- 2. backtrack to the first trunk node u1.
         arrived_on_token_node = False
-        for port in reversed(tape[trunk_mark:]):
+        for port in tape[::-1]:  # the tape holds just the trunk so far
             before = sightings
             target, entry_port = adj[current][port]
             key = (
@@ -387,9 +395,9 @@ def run_esst(
         # pure function of u_j within a phase: same path, same sightings, same
         # code, back at u_j either way.  Trunks revisit the same few nodes
         # over and over (a trunk has P(2i) steps but at most n distinct
-        # nodes), so repeated probes replay a memo — the tape entries and
-        # traversed edges are appended in bulk and the sighting delta is
-        # added, keeping the traversal count, edge set and sighting total
+        # nodes), so repeated probes replay a memo — the move count and the
+        # sighting delta are added and the traversed edges merged in bulk,
+        # keeping the traversal count, edge set and sighting total
         # exactly what step-by-step re-execution would produce.  When the
         # replayed probe saw no sighting, ``last_at_node`` keeps its current
         # value, exactly like a sighting-free re-execution would.
@@ -406,8 +414,8 @@ def run_esst(
             else:
                 cached = probe_memo.get(current)
                 if cached is not None:
-                    code, entries, keys, delta, cached_last_at_node = cached
-                    tape.extend(entries)
+                    code, count, keys, delta, cached_last_at_node = cached
+                    moves += count
                     edge_ints.update(keys)
                     if delta:
                         sightings += delta
@@ -468,7 +476,7 @@ def run_esst(
                         tape_append(entry_port)
                     probe_memo[memo_node] = (
                         code,
-                        tape[sub_mark:],
+                        len(tape) - sub_mark,
                         probe_keys,
                         sightings - base_sightings,
                         last_at_node,
@@ -535,7 +543,7 @@ def run_esst(
         visited.add(v)
     return ESSTResult(
         final_phase=final_phase,
-        traversals=len(tape),
+        traversals=moves + len(tape),
         visited_nodes=frozenset(visited),
         traversed_edges=edges,
         all_edges_traversed=len(edges) == graph.num_edges,

@@ -95,6 +95,10 @@ DEFAULT_PAGE_LIMIT = 50
 #: Largest request body the server reads; a bigger one is refused unread (413).
 MAX_BODY_BYTES = 1 << 20
 
+#: Largest grid ``POST /sweeps`` dispatches, checked before it is expanded
+#: (413).  Bigger grids go through ``repro sweep --executor queue``.
+MAX_SWEEP_CELLS = 10_000
+
 
 class Response(NamedTuple):
     """One materialised HTTP response: status, extra headers, body bytes."""
@@ -535,6 +539,12 @@ class ResultService:
             raise _HTTPError(400, "'sweep' must be a SweepSpec JSON object")
         try:
             sweep = SweepSpec.from_dict(sweep_data)
+            if len(sweep) > MAX_SWEEP_CELLS:
+                raise _HTTPError(
+                    413,
+                    f"sweep of {len(sweep)} cells exceeds {MAX_SWEEP_CELLS}; "
+                    "run it with repro sweep --executor queue",
+                )
             job = jobs.submit(
                 sweep, unit_size=None if unit_size is None else int(unit_size)
             )

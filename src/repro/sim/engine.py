@@ -57,6 +57,8 @@ from .schedulers import Advance, Decision, RoundRobinScheduler, Scheduler, Wake
 
 __all__ = ["AgentSpec", "AsyncEngine", "EngineView", "AgentStatus"]
 
+_tuple_new = tuple.__new__
+
 
 class AgentStatus:
     """Lifecycle states of an agent inside the engine."""
@@ -98,35 +100,11 @@ class _PendingTraversal:
     Progress lives as the integer pair ``p_num / p_den`` (always the reduced
     form of the last ``Advance`` target); the :attr:`progress` property
     materialises the :class:`Fraction` on demand for the scheduler view and
-    for error messages.
+    for error messages.  :meth:`AsyncEngine._commit_move` sets every field,
+    reusing the object of the traversal the agent has just completed.
     """
 
-    __slots__ = (
-        "from_node",
-        "to_node",
-        "edge",
-        "exit_port",
-        "entry_port",
-        "forward",
-        "p_num",
-        "p_den",
-    )
-
-    def __init__(
-        self, from_node: int, to_node: int, exit_port: int, entry_port: int
-    ) -> None:
-        self.from_node = from_node
-        self.to_node = to_node
-        if from_node < to_node:
-            self.edge = (from_node, to_node)
-            self.forward = True
-        else:
-            self.edge = (to_node, from_node)
-            self.forward = False
-        self.exit_port = exit_port
-        self.entry_port = entry_port
-        self.p_num = 0
-        self.p_den = 1
+    __slots__ = ("to_node", "edge", "entry_port", "forward", "p_num", "p_den")
 
     @property
     def progress(self) -> Fraction:
@@ -134,10 +112,6 @@ class _PendingTraversal:
         if self.p_num == 0:
             return _ZERO
         return Fraction(self.p_num, self.p_den)
-
-    def canonical_fraction(self, progress: Fraction) -> Fraction:
-        """Convert traversal progress into the edge's canonical fraction."""
-        return progress if self.forward else 1 - progress
 
 
 class _AgentState:
@@ -381,11 +355,11 @@ class AsyncEngine:
 
     def run(self) -> RunResult:
         """Run the simulation to completion and return the result."""
-        if self._tracer is not None:
-            return self._run_traced(self._tracer)
         scheduler = self._scheduler
+        tracer = self._tracer
         if (
-            type(scheduler) is RoundRobinScheduler
+            tracer is None
+            and type(scheduler) is RoundRobinScheduler
             and not scheduler._wake_schedule
             and (
                 scheduler._order is None
@@ -396,35 +370,69 @@ class AsyncEngine:
             )
         ):
             return self._run_fast_round_robin(scheduler)
-        self._bootstrap()
-        while not self._done:
-            self._check_passive_termination()
-            if self._done:
-                break
-            if self._decisions >= self._max_decisions:
-                raise SimulationError(
-                    f"scheduler exceeded the decision budget ({self._max_decisions}); "
-                    "it is probably making unbounded zero-progress decisions"
-                )
-            decision = self._scheduler.decide(self._view)
-            self._decisions += 1
-            if decision is None:
-                self._finish(StopReason.SCHEDULER_EXHAUSTED)
-                break
-            self._apply(decision)
-        return self._build_result()
+        # A traced run adds span boundaries around the phases of every
+        # iteration; an untraced run pays one falsy test per boundary.
+        clock = tracer.clock if tracer is not None else None
+        if clock:
+            run_started = clock()
+        try:
+            if clock:
+                t0 = clock()
+            self._bootstrap()
+            if clock:
+                tracer.add_span("engine.bootstrap", t0)
+            while not self._done:
+                if clock:
+                    t0 = clock()
+                self._check_passive_termination()
+                if clock:
+                    tracer.add_span("engine.check_termination", t0)
+                if self._done:
+                    break
+                if self._decisions >= self._max_decisions:
+                    raise self._decision_budget_exceeded()
+                if clock:
+                    t0 = clock()
+                decision = scheduler.decide(self._view)
+                if clock:
+                    tracer.add_span("scheduler.decide", t0)
+                self._decisions += 1
+                if decision is None:
+                    self._finish(StopReason.SCHEDULER_EXHAUSTED)
+                    break
+                if clock:
+                    t0 = clock()
+                self._apply(decision)
+                if clock:
+                    tracer.add_span("engine.apply", t0)
+            return self._build_result()
+        finally:
+            if clock:
+                tracer.add_span("engine.run", run_started)
+                tracer.count("engine.decisions", self._decisions)
+                tracer.count("engine.traversals", self.total_traversals)
+                tracer.count("engine.meetings", len(self._meetings))
+                tracer.count("engine.index_updates", self._index.updates)
+                tracer.count("engine.lattice_rescales", self._index.rescales())
 
     def _run_fast_round_robin(self, scheduler: RoundRobinScheduler) -> RunResult:
         # Specialised main loop for the common adversary: an untraced round
         # robin whose cycle covers exactly the engine's agents and that has no
         # wake schedule.  Under it every decision is a *complete* traversal,
         # so no agent is ever strictly inside an edge: the lattice frames stay
-        # empty, the only possible coincidences are arrival meetings, and the
-        # index degenerates to its node buckets.  The loop below replays,
-        # inline, exactly the decision sequence the generic loop produces with
-        # the same scheduler — including the cursor bookkeeping on the
-        # scheduler object — which is what keeps every record byte-identical
-        # (the golden equivalence suite pins this against the fixtures).
+        # empty and the only possible coincidences are arrival meetings.  The
+        # loop keeps two shortcuts over the generic loop and shares every
+        # other mechanic with it (meetings, program driving, termination):
+        #
+        # * the scheduler's decide is inlined, including the cursor
+        #   bookkeeping on the scheduler object, so the decision sequence is
+        #   exactly the generic loop's with the same scheduler (the golden
+        #   equivalence suite pins the records against the fixtures);
+        # * occupancy lives in a flat node array aligned with ``states``
+        #   instead of the index's bucket maps, and the index is rebuilt,
+        #   consistent, on the way out.  ``nodes[j]`` mirrors exactly what the
+        #   bucket maps would say: an agent occupies its node from placement
+        #   until its own next traversal completes, whatever its status.
         self._bootstrap()
         agents = self._agents
         if scheduler._order is None:
@@ -432,46 +440,21 @@ class AsyncEngine:
         states = [agents[name] for name in scheduler._order]
         n = len(states)
         active = AgentStatus.ACTIVE
-        adj = self._adj
         node_pos = self._node_pos
         index = self._index
-        # Every agent sits at a node for the whole run (complete advances
-        # only), so occupancy is tracked in a flat node array aligned with
-        # ``states`` — comparing ints replaces the per-decision churn on the
-        # index's bucket maps — and the index is rebuilt, consistent, on the
-        # way out.  ``nodes[j]`` mirrors exactly what the bucket maps would
-        # say: an agent occupies its node from placement until its own next
-        # traversal completes, whatever its status.
         nodes = [st.position.node for st in states]
         agent_names = [st.name for st in states]
         max_decisions = self._max_decisions
         max_traversals = self._max_traversals
-        check_output = self._stop_when_all_output
-        fast_output = self._fast_has_output
-        output_states = self._output_states
-        tuple_new = tuple.__new__
-        observation_cls = Observation
-        snapshot_cls = AgentSnapshot
-        meeting_cls = MeetingEvent
-        meetings_append = self._meetings.append
-        no_rendezvous = self._rendezvous is None
         cursor = scheduler._cursor
-        # The three monotone counters live in locals and are flushed to the
-        # engine before any call that can observe them (and in the finally).
-        decisions = self._decisions
-        total_traversals = self.total_traversals
         index_updates = index.updates
         try:
             while not self._done:
-                if self._stopped == n:
-                    self._finish(StopReason.ALL_STOPPED)
+                self._check_passive_termination()
+                if self._done:
                     break
-                if decisions >= max_decisions:
-                    raise SimulationError(
-                        f"scheduler exceeded the decision budget "
-                        f"({max_decisions}); it is probably making unbounded "
-                        "zero-progress decisions"
-                    )
+                if self._decisions >= max_decisions:
+                    raise self._decision_budget_exceeded()
                 # -- scheduler.decide(view), inlined for this adversary ------
                 # First probe outside the scan loop: under round-robin the
                 # next agent in order is almost always ready.
@@ -489,176 +472,43 @@ class AsyncEngine:
                             state = st
                             mover = j
                             break
-                decisions += 1
+                self._decisions += 1
                 if state is None:
-                    self._decisions = decisions
                     self._finish(StopReason.SCHEDULER_EXHAUSTED)
                     break
                 # -- apply the complete advance ------------------------------
                 pending = state.pending
                 to_node = pending.to_node
-                # The sweep of a complete advance with an empty frame: only
-                # the arrival meeting is possible.  Scanning every agent
-                # reproduces the bucket contents exactly — including the
-                # mover itself on a self-loop arrival (it still occupies the
-                # destination node).
-                # ``in``/``index``/``count`` scan the node array in C; the
-                # common no-meeting decision pays a single containment check.
+                # The sweep of a complete advance with empty frames: only the
+                # arrival meeting is possible.  ``in``/``index``/``count`` scan
+                # the node array in C, so the common no-meeting decision pays a
+                # single containment check.  The scan reproduces the bucket
+                # contents exactly, including the mover itself on a self-loop
+                # arrival (it still occupies the destination node).
                 if to_node in nodes:
                     j = nodes.index(to_node)
-                    meet = [agent_names[j]]
+                    arrivals = [agent_names[j]]
                     if nodes.count(to_node) > 1:
                         for j in range(j + 1, n):
                             if nodes[j] == to_node:
-                                meet.append(agent_names[j])
-                else:
-                    meet = None
-                if meet is not None:
-                    if len(meet) > 1:
-                        meet.sort()
-                    if (
-                        no_rendezvous
-                        and self._dormant_count == 0
-                        and nodes[mover] != to_node
-                    ):
-                        # _emit_meeting, inlined for the dominant case: no
-                        # rendezvous target, nobody dormant, not a self-loop
-                        # (so the mover is not among the occupants and no
-                        # dedup is needed).  The event reads the counter
-                        # locals directly, so no flush is required unless a
-                        # callee observes engine state.
-                        if len(meet) == 1:
-                            pstates = (state, agents[meet[0]])
-                        else:
-                            pstates = [state]
-                            for m in meet:
-                                pstates.append(agents[m])
-                        snaps = []
-                        for st in pstates:
-                            controller = st.controller
-                            if st.versioned:
-                                version = controller.public_version
-                                snap = st.snap
-                                if (
-                                    snap is None
-                                    or st.snap_version != version
-                                    or snap.status != st.status
-                                ):
-                                    snap = snapshot_cls(
-                                        st.name,
-                                        controller.label,
-                                        st.status,
-                                        controller.public_snapshot(),
-                                    )
-                                    st.snap = snap
-                                    st.snap_version = version
-                            else:
-                                snap = snapshot_cls(
-                                    st.name,
-                                    controller.label,
-                                    st.status,
-                                    controller.public_snapshot(),
-                                )
-                            snaps.append(snap)
-                        event = meeting_cls(
-                            participants=tuple(snaps),
-                            node=to_node,
-                            edge=None,
-                            decision_index=decisions,
-                            total_traversals=total_traversals,
-                        )
-                        meetings_append(event)
-                        for st in pstates:
-                            st.controller.on_meeting(event)
-                        if check_output:
-                            if fast_output:
-                                for st in output_states:
-                                    if st.controller.output is None:
-                                        break
-                                else:
-                                    self._output_cost = total_traversals
-                                    self._finish(StopReason.ALL_OUTPUT)
-                                    break
-                            else:
-                                self._decisions = decisions
-                                self.total_traversals = total_traversals
-                                self._check_output_termination()
-                                if self._done:
-                                    break
-                    else:
-                        self._decisions = decisions
-                        self.total_traversals = total_traversals
-                        self._emit_meeting(
-                            [state.name] + meet, node_pos[to_node]
-                        )
-                        if self._done:
-                            break
-                if total_traversals >= max_traversals:
-                    self._decisions = decisions
-                    self.total_traversals = total_traversals
+                                arrivals.append(agent_names[j])
+                        arrivals.sort()
+                    self._emit_meeting([state.name] + arrivals, node_pos[to_node])
+                    if self._done:
+                        break
+                if self.total_traversals >= max_traversals:
                     self._handle_cost_limit()
                     break
                 # -- complete the traversal ----------------------------------
-                state.pending = None
-                name = state.name
                 nodes[mover] = to_node
                 index_updates += 1
-                entry = pending.entry_port
-                state.entry_port = entry
-                tr = state.traversals + 1
-                state.traversals = tr
-                total_traversals += 1
-                # -- drive the agent's program one step ----------------------
-                program = state.program
-                if program is not None and state.status == active:
-                    row = adj[to_node]
-                    degree = len(row)
-                    try:
-                        action = program.send(
-                            tuple_new(observation_cls, (degree, entry, tr))
-                        )
-                    except StopIteration:
-                        self._stop_agent(state)
-                    else:
-                        if action.__class__ is Move:
-                            port = action.port
-                            if 0 <= port < degree:
-                                target, entry_port = row[port]
-                                if to_node < target:
-                                    pending.edge = (to_node, target)
-                                    pending.forward = True
-                                else:
-                                    pending.edge = (target, to_node)
-                                    pending.forward = False
-                                pending.from_node = to_node
-                                pending.to_node = target
-                                pending.exit_port = port
-                                pending.entry_port = entry_port
-                                pending.p_num = 0
-                                pending.p_den = 1
-                                state.pending = pending
-                            else:
-                                raise ProtocolError(
-                                    f"agent {name!r} chose port {port} at a "
-                                    f"node of degree {degree}"
-                                )
-                        else:
-                            self._handle_action(state, action)
-                if check_output and not self._done:
-                    if fast_output:
-                        for st in output_states:
-                            if st.controller.output is None:
-                                break
-                        else:
-                            self._output_cost = total_traversals
-                            self._finish(StopReason.ALL_OUTPUT)
-                    else:
-                        self._decisions = decisions
-                        self.total_traversals = total_traversals
-                        self._check_output_termination()
+                state.pending = None
+                state.entry_port = pending.entry_port
+                state.traversals += 1
+                self.total_traversals += 1
+                self._request_action(state, to_node, pending)
+                self._check_output_termination()
         finally:
-            self._decisions = decisions
-            self.total_traversals = total_traversals
             scheduler._cursor = cursor
             # Re-sync the index with the node array so post-run queries see
             # exactly the state incremental maintenance would have left.
@@ -668,8 +518,8 @@ class AsyncEngine:
             for j, st in enumerate(states):
                 node = nodes[j]
                 # Positions are tracked only in the node array while the loop
-                # runs (nothing inside reads ``state.position``); materialise
-                # the interned Position objects on the way out.
+                # runs (nothing inside reads a moved agent's ``position``);
+                # materialise the interned Position objects on the way out.
                 st.position = node_pos[node]
                 occ = node_occupants.get(node)
                 if occ is None:
@@ -679,47 +529,6 @@ class AsyncEngine:
                 where[st.name] = node
             index.updates = index_updates
         return self._build_result()
-
-    def _run_traced(self, tracer) -> RunResult:
-        # Mirror of the loop above with span boundaries around the three
-        # phases of every iteration.  Kept separate so the untraced path pays
-        # nothing — not even a ``clock()`` call — per decision.
-        clock = tracer.clock
-        run_started = clock()
-        try:
-            t0 = clock()
-            self._bootstrap()
-            tracer.add_span("engine.bootstrap", t0)
-            while not self._done:
-                t0 = clock()
-                self._check_passive_termination()
-                tracer.add_span("engine.check_termination", t0)
-                if self._done:
-                    break
-                if self._decisions >= self._max_decisions:
-                    raise SimulationError(
-                        f"scheduler exceeded the decision budget "
-                        f"({self._max_decisions}); it is probably making "
-                        "unbounded zero-progress decisions"
-                    )
-                t0 = clock()
-                decision = self._scheduler.decide(self._view)
-                tracer.add_span("scheduler.decide", t0)
-                self._decisions += 1
-                if decision is None:
-                    self._finish(StopReason.SCHEDULER_EXHAUSTED)
-                    break
-                t0 = clock()
-                self._apply(decision)
-                tracer.add_span("engine.apply", t0)
-            return self._build_result()
-        finally:
-            tracer.add_span("engine.run", run_started)
-            tracer.count("engine.decisions", self._decisions)
-            tracer.count("engine.traversals", self.total_traversals)
-            tracer.count("engine.meetings", len(self._meetings))
-            tracer.count("engine.index_updates", self._index.updates)
-            tracer.count("engine.lattice_rescales", self._index.rescales())
 
     # ------------------------------------------------------------------
     # bootstrapping
@@ -746,23 +555,14 @@ class AsyncEngine:
     # decision handling
     # ------------------------------------------------------------------
     def _apply(self, decision: Decision) -> None:
-        cls = decision.__class__
-        if cls is Advance:
+        if isinstance(decision, Advance):
             if self._tracer is not None:
                 self._tracer.count("engine.advance_decisions")
             self._apply_advance(decision)
-        elif cls is Wake:
-            if self._tracer is not None:
-                self._tracer.count("engine.wake_decisions")
-            self._apply_wake(decision)
         elif isinstance(decision, Wake):
             if self._tracer is not None:
                 self._tracer.count("engine.wake_decisions")
             self._apply_wake(decision)
-        elif isinstance(decision, Advance):
-            if self._tracer is not None:
-                self._tracer.count("engine.advance_decisions")
-            self._apply_advance(decision)
         else:
             raise SchedulerError(f"unknown decision type: {decision!r}")
 
@@ -907,7 +707,6 @@ class AsyncEngine:
 
     def _complete_traversal(self, state: _AgentState) -> None:
         pending = state.pending
-        assert pending is not None
         state.pending = None
         to_node = pending.to_node
         tracer = self._tracer
@@ -921,9 +720,7 @@ class AsyncEngine:
         state.entry_port = pending.entry_port
         state.traversals += 1
         self.total_traversals += 1
-        if self._done:
-            return
-        self._request_action(state)
+        self._request_action(state, to_node, pending)
         self._check_output_termination()
 
     def _max_safe_advance(self, name: str) -> Optional[Fraction]:
@@ -988,32 +785,28 @@ class AsyncEngine:
         snaps: List[AgentSnapshot] = []
         for state in states:
             controller = state.controller
-            if state.versioned:
-                # ``public_version`` changes on every observable public-state
-                # change, so an unchanged (version, status) pair means the
-                # previous snapshot is still an exact copy and can be shared.
-                version = controller.public_version
-                snap = state.snap
-                if snap is None or state.snap_version != version or snap.status != state.status:
-                    snap = AgentSnapshot(
-                        state.name,
-                        controller.label,
-                        state.status,
-                        controller.public_snapshot(),
-                    )
-                    state.snap = snap
-                    state.snap_version = version
-            else:
+            # ``public_version`` changes on every observable public-state
+            # change, so an unchanged (version, status) pair means the
+            # previous snapshot is still an exact copy and can be shared.
+            version = controller.public_version if state.versioned else None
+            snap = state.snap
+            if (
+                version is None
+                or snap is None
+                or state.snap_version != version
+                or snap.status != state.status
+            ):
                 snap = AgentSnapshot(
                     state.name,
                     controller.label,
                     state.status,
                     controller.public_snapshot(),
                 )
+                state.snap = snap
+                state.snap_version = version
             snaps.append(snap)
-        snapshots = tuple(snaps)
         event = MeetingEvent(
-            participants=snapshots,
+            participants=tuple(snaps),
             node=position.node,
             edge=position.edge,
             decision_index=self._decisions,
@@ -1038,17 +831,7 @@ class AsyncEngine:
         for state in woken:
             if state.program is None and state.status == AgentStatus.ACTIVE:
                 self._start_program(state)
-        # _check_output_termination, inlined: meetings are the hot caller.
-        if self._stop_when_all_output and not self._done:
-            if self._fast_has_output:
-                for state in self._output_states:
-                    if state.controller.output is None:
-                        break
-                else:
-                    self._output_cost = self.total_traversals
-                    self._finish(StopReason.ALL_OUTPUT)
-            else:
-                self._check_output_termination()
+        self._check_output_termination()
         if (
             self._rendezvous is not None
             and self._rendezvous.issubset(participants)
@@ -1079,43 +862,76 @@ class AsyncEngine:
             return
         self._handle_action(state, action)
 
-    def _request_action(self, state: _AgentState) -> None:
-        if state.program is None or state.status != AgentStatus.ACTIVE:
+    def _request_action(
+        self, state: _AgentState, node: int, finished: _PendingTraversal
+    ) -> None:
+        """Drive the program of an agent that has just arrived at ``node``.
+
+        ``finished`` is the traversal it completed; a move reuses the object.
+        Both main loops call this after every completed traversal, so the
+        observation skips the named-tuple constructor.
+        """
+        program = state.program
+        if program is None or state.status != AgentStatus.ACTIVE:
             return
-        observation = self._observe(state)
+        observation = _tuple_new(
+            Observation, (len(self._adj[node]), state.entry_port, state.traversals)
+        )
         try:
-            action = state.program.send(observation)
+            action = program.send(observation)
         except StopIteration:
             self._stop_agent(state)
             return
-        self._handle_action(state, action)
+        if isinstance(action, Move):
+            self._commit_move(state, node, action.port, finished)
+        else:
+            self._handle_action(state, action)
 
     def _handle_action(self, state: _AgentState, action: Any) -> None:
-        cls = action.__class__
-        if cls is Move:
-            pass
-        elif cls is Stop or isinstance(action, Stop):
+        if isinstance(action, Stop):
             self._stop_agent(state)
             return
-        elif not isinstance(action, Move):
+        if not isinstance(action, Move):
             raise ProtocolError(
                 f"agent {state.name!r} yielded {action!r}; expected Move or Stop"
             )
-        position = state.position
-        if position.node is None:
+        node = state.position.node
+        if node is None:
             raise SimulationError(
                 f"agent {state.name!r} asked to move while not at a node"
             )
-        node = position.node
+        self._commit_move(state, node, action.port, None)
+
+    def _commit_move(
+        self,
+        state: _AgentState,
+        node: int,
+        port: int,
+        recycled: Optional[_PendingTraversal],
+    ) -> None:
+        """Commit the agent at ``node`` to the edge behind ``port``.
+
+        ``recycled`` is a finished traversal object to reuse, or ``None``.
+        """
         row = self._adj[node]
-        port = action.port
-        if not (0 <= port < len(row)):
+        if not 0 <= port < len(row):
             raise ProtocolError(
                 f"agent {state.name!r} chose port {port} at a node of "
                 f"degree {len(row)}"
             )
         target, entry_port = row[port]
-        state.pending = _PendingTraversal(node, target, port, entry_port)
+        pending = recycled or _PendingTraversal()
+        pending.to_node = target
+        if node < target:
+            pending.edge = (node, target)
+            pending.forward = True
+        else:
+            pending.edge = (target, node)
+            pending.forward = False
+        pending.entry_port = entry_port
+        pending.p_num = 0
+        pending.p_den = 1
+        state.pending = pending
 
     def _stop_agent(self, state: _AgentState) -> None:
         if state.status != AgentStatus.STOPPED:
@@ -1155,6 +971,12 @@ class AsyncEngine:
                     return
         self._output_cost = self.total_traversals
         self._finish(StopReason.ALL_OUTPUT)
+
+    def _decision_budget_exceeded(self) -> SimulationError:
+        return SimulationError(
+            f"scheduler exceeded the decision budget ({self._max_decisions}); "
+            "it is probably making unbounded zero-progress decisions"
+        )
 
     def _handle_cost_limit(self) -> None:
         if self._on_cost_limit == "raise":

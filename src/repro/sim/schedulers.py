@@ -169,14 +169,12 @@ class RoundRobinScheduler(Scheduler):
         self._cursor = 0
 
     def choose(self, view) -> Optional[Decision]:
-        is_eligible = getattr(view, "is_eligible", None)
-        if is_eligible is None:
-            return self._choose_scan(view)
         if self._order is None:
             self._order = sorted(view.agent_names())
         order = self._order
         n = len(order)
         cursor = self._cursor
+        is_eligible = view.is_eligible
         for i in range(n):
             name = order[(cursor + i) % n]
             if is_eligible(name):
@@ -189,21 +187,6 @@ class RoundRobinScheduler(Scheduler):
         if not eligible:
             return None
         self._cursor = cursor + n
-        return complete(sorted(eligible)[0])
-
-    def _choose_scan(self, view) -> Optional[Decision]:
-        # Fallback for minimal view objects without ``is_eligible``.
-        eligible = set(view.eligible_agents())
-        if not eligible:
-            return None
-        if self._order is None:
-            self._order = sorted(view.agent_names())
-        for _ in range(len(self._order)):
-            name = self._order[self._cursor % len(self._order)]
-            self._cursor += 1
-            if name in eligible:
-                return complete(name)
-        # Fall back to any eligible agent not present in the fixed order.
         return complete(sorted(eligible)[0])
 
 

@@ -112,7 +112,32 @@ def test_randomized_specs_fused_loop_matches_generic_loop():
                 seed=rng.randint(0, 99),
             )
         )
+    # Teams of three and four: meetings with three or more participants go
+    # through the shared meeting emission from both loops.
+    for family in ("path", "star", "lollipop", "complete"):
+        cases.append(
+            ScenarioSpec(
+                problem="teams",
+                family=family,
+                size=rng.randint(5, 6),
+                team_size=rng.randint(3, 4),
+                seed=rng.randint(0, 99),
+            )
+        )
+    # A run that the traversal budget ends.
+    budgeted = ScenarioSpec(
+        problem="teams",
+        family="ring",
+        size=5,
+        team_size=3,
+        seed=rng.randint(0, 99),
+        max_traversals=3000,
+        on_cost_limit="return",
+    )
+    cases.append(budgeted)
     for spec in cases:
         untraced = _strip_extra(run(spec).to_dict())
         stripped, _projection = split_traced(run(spec, trace=True).to_dict())
         assert canonical(untraced) == canonical(stripped), spec.name
+        if spec is budgeted:
+            assert untraced["reason"] == "cost_limit"

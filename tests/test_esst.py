@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.exceptions import ExplorationError
 from repro.exploration.esst import ESSTResult, TokenTracker, run_esst
 from repro.graphs import families
+from repro.graphs.families import GRAPH_FAMILIES
 from repro.sim.position import Position
 
 
@@ -73,6 +75,21 @@ class TestRunESST:
         second = run_esst(graph, 0, Position.at_node(3), sim_model)
         assert first.traversals == second.traversals
         assert first.final_phase == second.final_phase
+
+    def test_memory_does_not_grow_with_the_move_count(self, sim_model):
+        # About four million moves on lollipop-12: the driver keeps only the
+        # current phase's entry ports, not one list slot per move.
+        graph = GRAPH_FAMILIES.create("lollipop", 12)
+        token = Position.at_node(max(graph.nodes()))
+        run_esst(graph, 0, token, sim_model)  # warm the model's sequence caches
+        tracemalloc.start()
+        try:
+            result = run_esst(graph, 0, token, sim_model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.traversals == 3_961_418
+        assert peak < 4_000_000
 
     def test_unknown_start_or_token_rejected(self, sim_model):
         graph = families.ring(4)

@@ -21,7 +21,7 @@ from repro.distrib.worker import Worker
 from repro.runtime.executors import run_sweep
 from repro.runtime.spec import SweepSpec
 from repro.serve import ResultService, SweepJobs, job_id, make_server
-from repro.serve.app import MAX_BODY_BYTES
+from repro.serve.app import MAX_BODY_BYTES, MAX_SWEEP_CELLS
 from repro.store import FileStore, MemoryStore, merge_stores
 
 from .test_experiments import golden
@@ -311,6 +311,16 @@ class TestSweepLifecycle:
         assert service.handle("POST", "/sweeps", body=bogus).status == 400
         assert service.handle("GET", "/sweeps/missing/status").status == 404
         assert service.handle("POST", "/sweeps/missing/cancel").status == 404
+
+    def test_oversized_grid_is_refused_before_dispatch(self, tmp_path):
+        queue = tmp_path / "q"
+        service = ResultService(MemoryStore(), queue=str(queue))
+        before = sorted(queue.rglob("*"))
+        sweep = {"sizes": list(range(4, 14)), "seeds": list(range(MAX_SWEEP_CELLS // 10 + 1))}
+        response = service.handle("POST", "/sweeps", body=json.dumps({"sweep": sweep}).encode())
+        assert response.status == 413
+        assert str(MAX_SWEEP_CELLS) in body_of(response)["error"]
+        assert sorted(queue.rglob("*")) == before
 
     def test_job_id_is_content_addressed(self):
         assert job_id(["u1", "u2"]) == job_id(["u1", "u2"])
