@@ -647,6 +647,9 @@ class _Handler(BaseHTTPRequestHandler):
     quiet = True
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # Headers and body leave in two writes; with Nagle on, the body would
+    # wait for the client's delayed ACK (~40 ms) on every keep-alive reply.
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if not self.quiet:  # pragma: no cover - log formatting only

@@ -225,7 +225,9 @@ class TestServeCli:
 
         with FileStore(tmp_path / "store") as store:
             server = make_server(ResultService(store), port=0)
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread = threading.Thread(
+                target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+            )
             thread.start()
             host, port = server.server_address[:2]
             try:

@@ -6,10 +6,12 @@ import pytest
 
 from repro.exceptions import ExplorationError
 from repro.exploration.cost_model import (
+    CostModel,
     PaperCostModel,
     SimulationCostModel,
     default_cost_model,
 )
+from repro.exploration.uxs import ExplicitUXS
 from repro.core.labels import modified_label
 
 
@@ -182,3 +184,115 @@ class TestBounds:
     def test_model_names(self):
         assert "simulation" in SimulationCostModel().name
         assert "paper" in PaperCostModel().name
+
+
+# ----------------------------------------------------------------------
+# an independent oracle: Definitions 3.1-3.8 as explicit sums over P
+# ----------------------------------------------------------------------
+class NaiveLengths:
+    """Trajectory lengths recomputed from ``P`` alone on every call.
+
+    No memo and no shared prefix: each quantity is the sum its definition
+    writes out, so it checks the model's cached recurrences (and any faster
+    rewrite of them) without sharing their code.
+    """
+
+    def __init__(self, P):  # noqa: N803 - the paper's notation
+        self.P = P
+
+    def X(self, k):  # Def. 3.1: R(k) then its backtrack
+        return 2 * self.P(k)
+
+    def Q(self, k):  # Def. 3.2: X(1) X(2) ... X(k)
+        return sum(2 * self.P(i) for i in range(1, k + 1))
+
+    def Y_prime(self, k):  # Def. 3.3: a trunk R(k), Q(k) at each of its P(k)+1 nodes
+        return self.P(k) + (self.P(k) + 1) * self.Q(k)
+
+    def Y(self, k):
+        return 2 * self.Y_prime(k)
+
+    def Z(self, k):  # Def. 3.4: Y(1) Y(2) ... Y(k)
+        return sum(self.Y(i) for i in range(1, k + 1))
+
+    def A_prime(self, k):  # Def. 3.5: a trunk R(k), Z(k) at each of its P(k)+1 nodes
+        return self.P(k) + (self.P(k) + 1) * self.Z(k)
+
+    def A(self, k):
+        return 2 * self.A_prime(k)
+
+    def repetitions_B(self, k):  # Def. 3.6: B(k) = Y(k) repeated 2|A(4k)| times
+        return 2 * self.A(4 * k)
+
+    def B(self, k):
+        return self.repetitions_B(k) * self.Y(k)
+
+    def repetitions_K(self, k):  # Def. 3.7: K(k) = X(k) repeated 2(|B(4k)| + |A(8k)|) times
+        return 2 * (self.B(4 * k) + self.A(8 * k))
+
+    def K(self, k):
+        return self.repetitions_K(k) * self.X(k)
+
+    def repetitions_Omega(self, k):  # Def. 3.8: Ω(k) = X(k) repeated (2k-1)|K(k)| times
+        return (2 * k - 1) * self.K(k)
+
+    def Omega(self, k):
+        return self.repetitions_Omega(k) * self.X(k)
+
+    def pi(self, n, m):
+        """Π(n, m): pieces 1..N with N = 2(n + 2m + 2) + 1, each bounded by
+        N(2|A(4k)| + 2|B(2k)| + |K(k)|) and followed by the fence Ω(k)."""
+        N = 2 * (n + 2 * m + 2) + 1
+        return sum(
+            N * (2 * self.A(4 * k) + 2 * self.B(2 * k) + self.K(k)) + self.Omega(k)
+            for k in range(1, N + 1)
+        )
+
+
+def _explicit_length(k):
+    """A deliberately non-monotone P for the explicit provider."""
+    return 1 + (7 * k) % 5
+
+
+#: Π(4, 2) reaches A(16 * 21); the explicit provider must cover that far.
+_EXPLICIT_UXS = ExplicitUXS(
+    {k: tuple(range(_explicit_length(k))) for k in range(1, 16 * 21 + 1)}
+)
+
+
+class TestNaiveOracle:
+    @pytest.fixture(
+        params=[
+            (SimulationCostModel, lambda k: 2 * k**2 + 8),
+            (PaperCostModel, lambda k: k**3),
+            (lambda: CostModel(_EXPLICIT_UXS, name="explicit"), _explicit_length),
+        ],
+        ids=["simulation", "paper", "explicit"],
+    )
+    def pair(self, request):
+        make_model, P = request.param  # noqa: N806 - the paper's notation
+        return make_model(), NaiveLengths(P)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_lengths_and_repetitions_match(self, pair, k):
+        model, oracle = pair
+        assert model.len_R(k) == oracle.P(k)
+        assert model.len_X(k) == oracle.X(k)
+        assert model.len_Q(k) == oracle.Q(k)
+        assert model.len_Y_prime(k) == oracle.Y_prime(k)
+        assert model.len_Y(k) == oracle.Y(k)
+        assert model.len_Z(k) == oracle.Z(k)
+        assert model.len_A_prime(k) == oracle.A_prime(k)
+        assert model.len_A(k) == oracle.A(k)
+        assert model.repetitions_B(k) == oracle.repetitions_B(k)
+        assert model.len_B(k) == oracle.B(k)
+        assert model.repetitions_K(k) == oracle.repetitions_K(k)
+        assert model.len_K(k) == oracle.K(k)
+        assert model.repetitions_Omega(k) == oracle.repetitions_Omega(k)
+        assert model.len_Omega(k) == oracle.Omega(k)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pi_bound_matches(self, pair, n, m):
+        model, oracle = pair
+        assert model.pi_bound(n, m) == oracle.pi(n, m)

@@ -267,7 +267,9 @@ class TestServeRegistry:
     def test_concurrent_requests_count_exactly(self):
         service = ResultService(MemoryStore())
         server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         thread.start()
         host, port = server.server_address[:2]
         base = f"http://{host}:{port}"

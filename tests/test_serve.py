@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -336,7 +339,9 @@ class TestOverHTTP:
         run_sweep(TINY_SWEEP, store=store)
         service = ResultService(store, queue=str(tmp_path / "q"))
         server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         thread.start()
         host, port = server.server_address[:2]
         yield f"http://{host}:{port}"
@@ -376,6 +381,23 @@ class TestOverHTTP:
         assert err.value.code == 404
         assert "error" in json.load(err.value)
 
+    def test_keep_alive_requests_do_not_wait_for_delayed_ack(self, served):
+        """Headers and body leave in two writes; with Nagle on, every reply
+        on a kept-alive connection stalls ~40 ms on the client's delayed ACK."""
+        host, port = served.rsplit("/", 1)[1].split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=10)
+        latencies = []
+        try:
+            for path in ["/healthz", "/metrics", "/experiments"] * 7:
+                start = time.perf_counter()
+                connection.request("GET", path)
+                response = connection.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(latencies) < 0.010, latencies
 
     @staticmethod
     def _raw_post(url, content_length):
