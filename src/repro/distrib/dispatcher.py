@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 from typing import Any, Dict, Iterable, List, Optional, Union
 
@@ -85,16 +86,12 @@ class Dispatcher:
             "unit_ids": unit_ids,
         }
         if self.journal:
-            try:
-                # Respect an already attached writer (e.g. the serve tier's);
-                # a bare dispatch attaches under its own pid-scoped name.
-                journal = self.queue.attached_journal or self.queue.attach_journal(
-                    f"dispatch-{os.getpid()}"
-                )
-                journal.append(
-                    "sweep.dispatch",
-                    **{k: v for k, v in report.items() if k != "unit_ids"},
-                )
-            except (ReproError, OSError):
-                pass  # journalling never blocks a dispatch
+            # Respect an already attached writer (e.g. the serve tier's); a
+            # bare dispatch attaches under its own pid-scoped name.
+            if self.queue.attached_journal is None:
+                with contextlib.suppress(ReproError, OSError):
+                    self.queue.attach_journal(f"dispatch-{os.getpid()}")
+            self.queue.emit(
+                "sweep.dispatch", **{k: v for k, v in report.items() if k != "unit_ids"}
+            )
         return report

@@ -28,9 +28,8 @@ from ..exceptions import QueueError, ReproError
 from ..runtime.executors import Executor, ProgressCallback
 from ..runtime.records import RunRecord
 from ..runtime.spec import ScenarioSpec
-from ..store.filestore import FileStore
 from .dispatcher import DEFAULT_UNIT_SIZE, Dispatcher
-from .queue import WorkQueue
+from .queue import WorkQueue, find_records
 from .worker import DEFAULT_LEASE_TTL
 
 __all__ = ["QueueExecutor"]
@@ -154,20 +153,7 @@ class QueueExecutor(Executor):
     @staticmethod
     def _collect(queue: WorkQueue, keys: List[str]) -> Dict[str, RunRecord]:
         """Look ``keys`` up across every worker shard of the queue."""
-        found: Dict[str, RunRecord] = {}
-        for shard_dir in queue.result_store_dirs():
-            missing = [key for key in keys if key not in found]
-            if not missing:
-                break
-            try:
-                with FileStore(shard_dir, create=False, salvage=True) as store:
-                    for key in missing:
-                        record = store.get(key)
-                        if record is not None:
-                            found[key] = record
-            except ReproError:
-                continue
-        return found
+        return find_records(queue.result_store_dirs(), keys)
 
     # ------------------------------------------------------------------
     # Executor interface

@@ -5,7 +5,7 @@ Layout of a queue directory::
     queue/
     ├── queue.meta.json        # format + spec-key versions
     ├── units/<id>.json        # one work unit: its cells and their keys
-    ├── claims/<id>.json       # lease: {"worker", "created", "expires"}
+    ├── claims/<id>.json       # lease + steal count: {"worker", "created", "expires", "steals"}
     ├── done/<id>.json         # completion: keys + executed/salvaged counts
     ├── results/<worker>/      # one FileStore per worker (its "shard")
     ├── logs/<worker>.log      # stdout/stderr of executor-spawned workers
@@ -40,20 +40,22 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - fcntl is present on every POSIX platform we run on
     import fcntl
 except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
 
-from ..exceptions import QueueError
+from ..exceptions import QueueError, ReproError
 from ..fileio import atomic_write, json_line
 from ..obs.events import JOURNAL_DIR_NAME, EventJournal
 from ..obs.metrics import get_registry
+from ..runtime.records import RunRecord
 from ..runtime.spec import SPEC_KEY_VERSION, ScenarioSpec, canonical_json
+from ..store.filestore import FileStore
 
-__all__ = ["WorkQueue", "WorkUnit", "unit_id", "QUEUE_FORMAT_VERSION"]
+__all__ = ["WorkQueue", "WorkUnit", "unit_id", "shard_dirs", "find_records", "QUEUE_FORMAT_VERSION"]
 
 #: On-disk queue layout version.
 QUEUE_FORMAT_VERSION = 1
@@ -73,25 +75,11 @@ def unit_id(keys: Sequence[str]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _claim_line(
-    uid: str,
-    worker: str,
-    created: float,
-    expires: float,
-    steals: int = 0,
-    stolen_from: Optional[str] = None,
-) -> str:
-    """A claim file's content; ``stolen_from`` only once the unit was stolen."""
-    claim: Dict[str, Any] = {
-        "unit": uid,
-        "worker": worker,
-        "created": created,
-        "expires": expires,
-        "steals": steals,
-    }
-    if stolen_from:
-        claim["stolen_from"] = stolen_from
-    return json_line(claim)
+def _claim_line(uid: str, worker: str, created: float, expires: float, steals: int) -> str:
+    """A claim file's content: the lease plus the unit's steal count."""
+    return json_line(
+        {"unit": uid, "worker": worker, "created": created, "expires": expires, "steals": steals}
+    )
 
 
 def _read_json(path: Path) -> Optional[Dict[str, Any]]:
@@ -101,6 +89,37 @@ def _read_json(path: Path) -> Optional[Dict[str, Any]]:
     except (OSError, json.JSONDecodeError):
         return None
     return data if isinstance(data, dict) else None
+
+
+def shard_dirs(results_root: Path) -> List[Path]:
+    """Every worker shard directory under ``results_root``, sorted by name."""
+    if not results_root.exists():
+        return []
+    return sorted(path for path in results_root.iterdir() if path.is_dir())
+
+
+def find_records(shards: Iterable[Path], keys: Sequence[str]) -> Dict[str, RunRecord]:
+    """Look ``keys`` up across worker shards; ``{key: record}`` for the hits.
+
+    Shards are opened in salvage mode: a killed worker's shard may end in a
+    truncated line (always dropped) or, after genuine disk trouble, hold
+    corrupt lines, which salvage skips rather than letting one damaged shard
+    wedge the fleet.  A directory that is not (yet) a store is skipped.
+    """
+    found: Dict[str, RunRecord] = {}
+    for shard in shards:
+        missing = [key for key in keys if key not in found]
+        if not missing:
+            break
+        try:
+            with FileStore(shard, create=False, salvage=True) as store:
+                for key in missing:
+                    record = store.get(key)
+                    if record is not None:
+                        found[key] = record
+        except ReproError:
+            continue
+    return found
 
 
 @dataclass(frozen=True)
@@ -180,9 +199,7 @@ class WorkQueue:
 
     def result_store_dirs(self) -> List[Path]:
         """Every worker shard directory currently present, sorted by name."""
-        if not self.results_root.exists():
-            return []
-        return sorted(path for path in self.results_root.iterdir() if path.is_dir())
+        return shard_dirs(self.results_root)
 
     # ------------------------------------------------------------------
     # event journal
@@ -214,8 +231,12 @@ class WorkQueue:
             self._journal = EventJournal(self.journal_root, writer=writer, create=True)
         return self._journal
 
-    def _emit(self, type: str, **fields: Any) -> None:
-        """Best-effort event append: the journal never wedges the fleet."""
+    def emit(self, type: str, **fields: Any) -> None:
+        """Best-effort append to the attached journal (no-op when none).
+
+        The one journal write path of the fabric: the journal never wedges
+        the fleet, so an ``OSError`` drops the event instead of raising.
+        """
         if self._journal is None:
             return
         with contextlib.suppress(OSError):
@@ -271,7 +292,7 @@ class WorkQueue:
 
     def write_done(self, uid: str, payload: Dict[str, Any]) -> None:
         atomic_write(self.done_path(uid), json_line(payload))
-        self._emit(
+        self.emit(
             "unit.cancelled" if payload.get("cancelled") else "unit.done",
             unit=uid,
             worker=payload.get("worker"),
@@ -300,13 +321,7 @@ class WorkQueue:
         return _read_json(self.claim_path(uid))
 
     def _create_claim(
-        self,
-        uid: str,
-        worker: str,
-        ttl: float,
-        now: float,
-        steals: int = 0,
-        stolen_from: Optional[str] = None,
+        self, uid: str, worker: str, ttl: float, now: float, steals: int = 0
     ) -> bool:
         try:
             descriptor = os.open(
@@ -315,7 +330,7 @@ class WorkQueue:
         except FileExistsError:
             return False
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            handle.write(_claim_line(uid, worker, now, now + ttl, steals, stolen_from))
+            handle.write(_claim_line(uid, worker, now, now + ttl, steals))
         return True
 
     def try_claim(
@@ -329,11 +344,13 @@ class WorkQueue:
         units without waiting out its previous life's lease; worker ids must
         therefore name at most one live process).
 
-        Claim files carry steal provenance: ``steals`` counts how many times
-        this unit's lease has been taken from an expired holder, and
-        ``stolen_from`` names the most recent victim.  The winner of a steal
-        carries both forward, and workers copy ``steals`` into their done
-        markers, so :meth:`status` can total steals from the files alone.
+        A claim file holds the lease plus ``steals``, how many times this
+        unit's lease has been taken from an expired holder.  Every rewrite
+        carries the count forward and workers copy it into their done
+        markers, so :meth:`status` totals steals from the files alone, even
+        without a journal.  *Who* was robbed is recorded once, in the
+        journal: the steal's ``unit.claim`` event names the victim in
+        ``stolen_from``.
         """
         now = time.time() if now is None else now
         claims_total = get_registry().counter(
@@ -341,24 +358,23 @@ class WorkQueue:
         )
         if self._create_claim(uid, worker, ttl, now):
             claims_total.inc(kind="fresh")
-            self._emit("unit.claim", unit=uid, worker=worker, kind="fresh", ts=now)
+            self.emit("unit.claim", unit=uid, worker=worker, kind="fresh", ts=now)
             return True
         claim = self.read_claim(uid)
         if claim is None:
             # Mid-steal by someone else, or vanished: race the fresh create.
             if self._create_claim(uid, worker, ttl, now):
                 claims_total.inc(kind="fresh")
-                self._emit("unit.claim", unit=uid, worker=worker, kind="fresh", ts=now)
+                self.emit("unit.claim", unit=uid, worker=worker, kind="fresh", ts=now)
                 return True
             return False
         if claim.get("worker") == worker:
-            steals, stolen_from = int(claim.get("steals", 0)), claim.get("stolen_from")
             atomic_write(
                 self.claim_path(uid),
-                _claim_line(uid, worker, now, now + ttl, steals, stolen_from),
+                _claim_line(uid, worker, now, now + ttl, int(claim.get("steals", 0))),
             )
             claims_total.inc(kind="reclaim")
-            self._emit("unit.claim", unit=uid, worker=worker, kind="reclaim", ts=now)
+            self.emit("unit.claim", unit=uid, worker=worker, kind="reclaim", ts=now)
             return True
         if float(claim.get("expires", 0.0)) > now:
             return False
@@ -376,17 +392,9 @@ class WorkQueue:
                 prior_steals = int(claim.get("steals", 0))
                 with contextlib.suppress(FileNotFoundError):
                     os.unlink(self.claim_path(uid))
-        if self._create_claim(
-            uid, worker, ttl, now, steals=prior_steals + 1, stolen_from=victim
-        ):
-            registry = get_registry()
+        if self._create_claim(uid, worker, ttl, now, steals=prior_steals + 1):
             claims_total.inc(kind="steal")
-            registry.counter(
-                "repro_queue_lease_expiries_total",
-                "Expired leases observed (and stolen) at claim time",
-            ).inc()
-            self._emit("lease.expire", unit=uid, worker=victim, ts=now)
-            self._emit(
+            self.emit(
                 "unit.claim",
                 unit=uid,
                 worker=worker,
@@ -404,7 +412,7 @@ class WorkQueue:
 
         Only the current holder renews — anyone else (including the holder
         after its lease was stolen) gets ``False`` and must re-claim.  The
-        rewrite preserves the steal provenance, so renewal never launders a
+        rewrite preserves the steal count, so renewal never launders a
         stolen unit's history.  This is what lets a unit longer than the
         lease TTL finish instead of being stolen while alive (ROADMAP
         item 4's long-unit half): the worker renews on every heartbeat.
@@ -414,15 +422,14 @@ class WorkQueue:
         if claim is None or claim.get("worker") != worker:
             return False
         created = float(claim.get("created", now))
-        steals, stolen_from = int(claim.get("steals", 0)), claim.get("stolen_from")
         atomic_write(
             self.claim_path(uid),
-            _claim_line(uid, worker, created, now + ttl, steals, stolen_from),
+            _claim_line(uid, worker, created, now + ttl, int(claim.get("steals", 0))),
         )
         get_registry().counter(
             "repro_queue_lease_renewals_total", "Live leases extended mid-unit"
         ).inc()
-        self._emit("lease.renew", unit=uid, worker=worker, expires=now + ttl, ts=now)
+        self.emit("lease.renew", unit=uid, worker=worker, expires=now + ttl, ts=now)
         return True
 
     def release_claim(self, uid: str, worker: str) -> None:
@@ -481,6 +488,43 @@ class WorkQueue:
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
+    def _unit_pass(
+        self, uids: Optional[Sequence[str]], now: float
+    ) -> Iterator[Tuple[Dict[str, Any], int]]:
+        """The one per-unit state rule: ``(entry, steals)`` per unit, in order.
+
+        ``entry`` is the :meth:`unit_states` snapshot.  ``steals`` is the
+        unit's steal count from its done marker or claim file; it is counted
+        even where the snapshot omits it (a pending unit's expired claim).
+        """
+        for uid in self.units() if uids is None else uids:
+            data = _read_json(self.unit_path(uid))
+            entry: Dict[str, Any] = {
+                "unit": uid,
+                "cells": len(data.get("keys", ())) if data else 0,
+            }
+            done = self.read_done(uid)
+            claim = None if done is not None else self.read_claim(uid)
+            steals = int((done or claim or {}).get("steals", 0))
+            if done is not None:
+                entry["state"] = "cancelled" if done.get("cancelled") else "done"
+                entry["worker"] = done.get("worker")
+                for counter in ("executed", "salvaged", "cached"):
+                    entry[counter] = int(done.get(counter, 0))
+            else:
+                expires = float(claim.get("expires", 0.0)) if claim else 0.0
+                if claim is not None and expires > now:
+                    entry["state"] = "claimed"
+                    entry["worker"] = claim.get("worker")
+                    entry["lease_remaining"] = round(expires - now, 3)
+                else:
+                    entry["state"] = "pending"
+                    if claim is not None:
+                        entry["lease_expired"] = True
+            if steals and entry["state"] != "pending":
+                entry["steals"] = steals
+            yield entry, steals
+
     def unit_states(
         self, uids: Optional[Sequence[str]] = None, now: Optional[float] = None
     ) -> List[Dict[str, Any]]:
@@ -493,92 +537,38 @@ class WorkQueue:
         introspection behind ``GET /sweeps/<id>/progress``.
         """
         now = time.time() if now is None else now
-        states: List[Dict[str, Any]] = []
-        for uid in self.units() if uids is None else uids:
-            data = _read_json(self.unit_path(uid))
-            entry: Dict[str, Any] = {
-                "unit": uid,
-                "cells": len(data.get("keys", ())) if data else 0,
-            }
-            done = self.read_done(uid)
-            if done is not None:
-                entry["state"] = "cancelled" if done.get("cancelled") else "done"
-                entry["worker"] = done.get("worker")
-                for counter in ("executed", "salvaged", "cached"):
-                    entry[counter] = int(done.get(counter, 0))
-                if int(done.get("steals", 0)):
-                    entry["steals"] = int(done["steals"])
-            else:
-                claim = self.read_claim(uid)
-                expires = float(claim.get("expires", 0.0)) if claim else 0.0
-                if claim is not None and expires > now:
-                    entry["state"] = "claimed"
-                    entry["worker"] = claim.get("worker")
-                    entry["lease_remaining"] = round(expires - now, 3)
-                    if int(claim.get("steals", 0)):
-                        entry["steals"] = int(claim["steals"])
-                else:
-                    entry["state"] = "pending"
-                    if claim is not None:
-                        entry["lease_expired"] = True
-            states.append(entry)
-        return states
+        return [entry for entry, _ in self._unit_pass(uids, now)]
 
-    def status(self, now: Optional[float] = None) -> Dict[str, Any]:
-        """Aggregate queue state: unit/cell counts and execution totals.
+    def status(
+        self, uids: Optional[Sequence[str]] = None, now: Optional[float] = None
+    ) -> Dict[str, Any]:
+        """Aggregate state of the queue (or of the units ``uids``).
 
-        ``executed`` sums the done markers' execution counts — over a full
-        drain it equals the number of cells that were actually computed, so
-        ``executed == cells`` certifies a duplicate-free distributed run.
+        The counts fold :meth:`unit_states`: one per state, plus cell and
+        execution totals.  ``executed`` sums the done markers' execution
+        counts — over a full drain it equals the number of cells that were
+        actually computed, so ``executed == cells`` certifies a
+        duplicate-free distributed run.
 
-        ``steals`` totals the lease-steal provenance salvaged from the claim
-        and done files (see :meth:`try_claim`), and ``expired`` counts units
-        whose claim file has outlived its lease without being stolen yet —
-        together the post-hoc evidence of worker deaths during the run.
+        ``steals`` totals the steal counts of the claim and done files (see
+        :meth:`try_claim`), and ``expired`` counts units whose claim file has
+        outlived its lease without being stolen yet — together the post-hoc
+        evidence of worker deaths during the run.
         """
         now = time.time() if now is None else now
-        uids = self.units()
-        cells = 0
-        done_units = cancelled_units = 0
-        executed = salvaged = cached = 0
-        claimed_active = 0
-        pending = 0
-        steals = 0
-        expired = 0
-        for uid in uids:
-            data = _read_json(self.unit_path(uid))
-            cells += len(data.get("keys", ())) if data else 0
-            done = self.read_done(uid)
-            if done is not None:
-                steals += int(done.get("steals", 0))
-                if done.get("cancelled"):
-                    cancelled_units += 1
-                    continue
-                done_units += 1
-                executed += int(done.get("executed", 0))
-                salvaged += int(done.get("salvaged", 0))
-                cached += int(done.get("cached", 0))
-                continue
-            claim = self.read_claim(uid)
-            if claim is not None:
-                steals += int(claim.get("steals", 0))
-            if claim is not None and float(claim.get("expires", 0.0)) > now:
-                claimed_active += 1
-            else:
-                pending += 1
-                if claim is not None:
-                    expired += 1
-        return {
-            "units": len(uids),
-            "cells": cells,
-            "done": done_units,
-            "cancelled": cancelled_units,
-            "claimed": claimed_active,
-            "pending": pending,
-            "executed": executed,
-            "salvaged": salvaged,
-            "cached": cached,
-            "steals": steals,
-            "expired": expired,
-            "workers": len(self.result_store_dirs()),
-        }
+        totals = dict.fromkeys(
+            ("units", "cells", "done", "cancelled", "claimed", "pending")
+            + ("executed", "salvaged", "cached", "steals", "expired"),
+            0,
+        )
+        for entry, steals in self._unit_pass(uids, now):
+            totals["units"] += 1
+            totals["cells"] += entry["cells"]
+            totals[entry["state"]] += 1
+            totals["steals"] += steals
+            totals["expired"] += int("lease_expired" in entry)
+            if entry["state"] == "done":
+                for counter in ("executed", "salvaged", "cached"):
+                    totals[counter] += entry[counter]
+        totals["workers"] = len(self.result_store_dirs())
+        return totals

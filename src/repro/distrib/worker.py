@@ -18,18 +18,17 @@ from __future__ import annotations
 
 import contextlib
 import os
-import socket
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
-from ..exceptions import ReproError, StoreError
-from ..obs.events import EventJournal
+from ..exceptions import ReproError
+from ..obs.events import EventJournal, default_host
 from ..obs.metrics import get_registry
 from ..runtime.executors import SerialExecutor, run_sweep
 from ..runtime.records import RunRecord
 from ..store.filestore import FileStore
-from .queue import WorkQueue, WorkUnit
+from .queue import WorkQueue, WorkUnit, find_records, shard_dirs
 
 __all__ = ["Worker", "DEFAULT_LEASE_TTL", "DEFAULT_HEARTBEAT_CAP"]
 
@@ -45,8 +44,7 @@ DEFAULT_HEARTBEAT_CAP = 15.0
 
 def default_worker_id() -> str:
     """``<host>-<pid>``: unique per live process, stable within it."""
-    host = socket.gethostname().split(".", 1)[0] or "worker"
-    return f"{host}-{os.getpid()}"
+    return f"{default_host()}-{os.getpid()}"
 
 
 class Worker:
@@ -122,10 +120,9 @@ class Worker:
     # journal + heartbeats
     # ------------------------------------------------------------------
     def _emit(self, type: str, **fields: Any) -> None:
-        if self._journal is None:
-            return
-        with contextlib.suppress(OSError):
-            self._journal.append(type, **fields)
+        """This worker's own events; none when it runs journal-free."""
+        if self._journal is not None:
+            self.queue.emit(type, **fields)
 
     def _heartbeat(self, *, force: bool = False, phase: str = "unit") -> None:
         """Periodic liveness: renew the in-flight lease, record a heartbeat.
@@ -147,7 +144,7 @@ class Worker:
         beat: Dict[str, Any] = {
             "worker": self.worker_id,
             "pid": os.getpid(),
-            "host": socket.gethostname().split(".", 1)[0],
+            "host": default_host(),
             "unit": uid,
             "cells_done": self._current.get("cells_done"),
             "unit_total": self._current.get("unit_total"),
@@ -159,37 +156,6 @@ class Worker:
             beat["metrics"] = snapshot
         with contextlib.suppress(OSError):
             self._journal.heartbeat(**beat)
-
-    # ------------------------------------------------------------------
-    # salvage
-    # ------------------------------------------------------------------
-    def _salvage(self, unit: WorkUnit, own: FileStore) -> Dict[str, RunRecord]:
-        """Records for the unit's cells found in *sibling* worker shards.
-
-        Opened tolerantly: a killed sibling's shard may end in a truncated
-        line (always dropped) or — after genuine disk trouble — hold corrupt
-        lines, which salvage mode skips rather than letting one damaged
-        shard wedge the whole fleet.
-        """
-        wanted = [key for key in unit.keys if own.get(key) is None]
-        found: Dict[str, RunRecord] = {}
-        if not wanted:
-            return found
-        for sibling_dir in sorted(self.results_root.iterdir() if self.results_root.exists() else []):
-            if not sibling_dir.is_dir() or sibling_dir == self.store_dir:
-                continue
-            try:
-                with FileStore(sibling_dir, create=False, salvage=True) as sibling:
-                    for key in wanted:
-                        if key not in found:
-                            record = sibling.get(key)
-                            if record is not None:
-                                found[key] = record
-            except StoreError:
-                continue  # not (yet) a store, or unreadable — skip
-            if len(found) == len(wanted):
-                break
-        return found
 
     # ------------------------------------------------------------------
     # unit execution
@@ -205,7 +171,10 @@ class Worker:
         """
         started = time.perf_counter()
         cached_keys = [key for key in unit.keys if own.get(key) is not None]
-        salvaged = self._salvage(unit, own)
+        siblings = [path for path in shard_dirs(self.results_root) if path != self.store_dir]
+        salvaged = find_records(
+            siblings, [key for key in unit.keys if key not in cached_keys]
+        )
         to_run = [
             spec
             for spec, key in zip(unit.specs, unit.keys)
@@ -290,22 +259,17 @@ class Worker:
                 self._journal = self.queue.attach_journal(self.worker_id)
             except ReproError:
                 self._journal = None  # unjournalable worker id: run dark
-        self._emit(
-            "worker.start",
-            worker=self.worker_id,
-            pid=os.getpid(),
-            host=socket.gethostname().split(".", 1)[0],
-        )
+        self._emit("worker.start", worker=self.worker_id, pid=os.getpid(), host=default_host())
+        limit = float("inf") if self.max_units is None else self.max_units
         with FileStore(self.store_dir, create=True) as own:
-            while True:
+            while totals["units"] < limit:
                 pending = [uid for uid in self.queue.units() if not self.queue.is_done(uid)]
                 if not pending:
                     break
                 progressed = False
                 for uid in pending:
-                    if self.max_units is not None and totals["units"] >= self.max_units:
-                        self._emit("worker.exit", worker=self.worker_id, **totals)
-                        return totals
+                    if totals["units"] >= limit:
+                        break
                     if not self.queue.try_claim(uid, self.worker_id, self.lease_ttl):
                         continue
                     try:
@@ -314,8 +278,8 @@ class Worker:
                         unit = self.queue.load_unit(uid)
                         counts = self.process_unit(unit, own)
                         own.flush()
-                        # Carry the claim's steal provenance into the durable
-                        # done marker (the claim file dies with the release).
+                        # Carry the claim's steal count into the durable done
+                        # marker (the claim file dies with the release).
                         claim = self.queue.read_claim(uid) or {}
                         self.queue.write_done(
                             uid,

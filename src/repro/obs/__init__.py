@@ -31,7 +31,6 @@ name                                        kind       source
 ``repro_store_bytes_written_total``         counter    filestore: shard + index bytes appended
 ``repro_store_index_refreshes_total{changed=}``  counter  filestore: ``refresh()`` outcomes
 ``repro_queue_claims_total{kind=}``         counter    queue: ``fresh`` / ``reclaim`` / ``steal`` claims
-``repro_queue_lease_expiries_total``        counter    queue: expired leases observed at claim time
 ``repro_queue_unit_seconds``                histogram  worker: wall time per processed unit
 ``repro_queue_unit_cells_total{status=}``   counter    worker: executed/salvaged/cached cells
 ``serve_http_requests_total{route=}``       counter    serve (per-service registry)

@@ -27,8 +27,8 @@ The event vocabulary (``type`` values) emitted by the fabric:
 type                   emitted when
 =====================  ========================================================
 ``sweep.dispatch``     a dispatcher chunked a sweep into units
-``unit.claim``         a lease was taken (``kind``: fresh / reclaim / steal)
-``lease.expire``       a stealer observed an expired lease (names the victim)
+``unit.claim``         a lease was taken (``kind``: fresh / reclaim / steal;
+                       a steal names its victim in ``stolen_from``)
 ``lease.renew``        a live worker extended its lease mid-unit
 ``unit.start``         a worker began executing a claimed unit
 ``cell.done``          one cell satisfied (``status``: executed/cached/salvaged)
@@ -297,11 +297,11 @@ def sweep_timeline(
     """Reconstruct per-unit lifecycles from the journal.
 
     Returns ``{unit_id: entry}`` where each entry holds the unit's ordered
-    ``claims`` (each with ``kind`` fresh/reclaim/steal), ``renews`` count,
-    ``expires`` (observed lease expiries, naming victims), per-key ``cells``
-    (the last ``cell.done`` event per key), and the terminal ``done`` /
-    ``cancelled`` event when one landed.  Restricting to ``unit_ids`` scopes
-    the view to one dispatch on a shared queue directory.
+    ``claims`` (each with ``kind`` fresh/reclaim/steal; a steal names its
+    victim in ``stolen_from``), ``renews`` count, per-key ``cells`` (the last
+    ``cell.done`` event per key), and the terminal ``done`` / ``cancelled``
+    event when one landed.  Restricting to ``unit_ids`` scopes the view to
+    one dispatch on a shared queue directory.
     """
     wanted = None if unit_ids is None else set(unit_ids)
     timeline: Dict[str, Dict[str, Any]] = {}
@@ -311,7 +311,6 @@ def sweep_timeline(
             timeline[uid] = {
                 "claims": [],
                 "renews": 0,
-                "expires": [],
                 "cells": {},
                 "done": None,
                 "cancelled": False,
@@ -327,8 +326,6 @@ def sweep_timeline(
             entry(uid)["claims"].append(event)
         elif kind == "lease.renew":
             entry(uid)["renews"] += 1
-        elif kind == "lease.expire":
-            entry(uid)["expires"].append(event)
         elif kind == "cell.done":
             key = event.get("key")
             if key is not None:

@@ -359,9 +359,10 @@ class ResultService:
         self.registry.gauge(
             "serve_render_cache_entries", "Rendered-bytes cache entries"
         ).set(len(self._render_cache))
+        in_flight = 0 if self.jobs is None else self.jobs.in_flight()
         self.registry.gauge(
             "serve_sweeps_in_flight", "Dispatched sweep jobs not yet drained"
-        ).set(0 if self.jobs is None else self.jobs.in_flight())
+        ).set(in_flight)
         if format == "prom":
             return Response(
                 200,
@@ -390,7 +391,7 @@ class ResultService:
             "sweeps_cancelled": int(self._sweeps.value(action="cancelled")),
             "store_records": len(self.store),
             "render_cache_entries": len(self._render_cache),
-            "sweeps_in_flight": 0 if self.jobs is None else self.jobs.in_flight(),
+            "sweeps_in_flight": in_flight,
         }
         return _json_response(payload)
 

@@ -63,12 +63,6 @@ class SweepJobs:
         with contextlib.suppress(ReproError, OSError):
             self.queue.attach_journal(f"serve-{os.getpid()}")
 
-    def _emit(self, type: str, **fields: Any) -> None:
-        journal = self.queue.attached_journal
-        if journal is not None:
-            with contextlib.suppress(OSError):
-                journal.append(type, **fields)
-
     @property
     def jobs_root(self) -> Path:
         return self.queue.root / _JOBS_DIR
@@ -102,7 +96,7 @@ class SweepJobs:
         path = self.job_path(jid)
         if not path.exists():
             atomic_write(path, json_line(job))
-            self._emit(
+            self.queue.emit(
                 "job.submit",
                 job=jid,
                 sweep_name=sweep.name,
@@ -149,15 +143,10 @@ class SweepJobs:
         ``cancelled`` (no work left, but some units were tombstoned).
         """
         job = self.load(jid)
-        states = self.queue.unit_states(job["unit_ids"], now=now)
+        status = self.queue.status(job["unit_ids"], now=now)
         counts = {
-            "units": len(states),
-            "done": sum(1 for s in states if s["state"] == "done"),
-            "cancelled": sum(1 for s in states if s["state"] == "cancelled"),
-            "claimed": sum(1 for s in states if s["state"] == "claimed"),
-            "pending": sum(1 for s in states if s["state"] == "pending"),
+            state: status[state] for state in ("units", "done", "cancelled", "claimed", "pending")
         }
-        finished = [s for s in states if s["state"] == "done"]
         return {
             "job": jid,
             "state": self._state_of(counts),
@@ -165,9 +154,7 @@ class SweepJobs:
             "cells": {
                 "total": job["cells"],
                 "skipped_cached": job["skipped_cached"],
-                "executed": sum(s["executed"] for s in finished),
-                "salvaged": sum(s["salvaged"] for s in finished),
-                "cached": sum(s["cached"] for s in finished),
+                **{counter: status[counter] for counter in ("executed", "salvaged", "cached")},
             },
         }
 
@@ -205,7 +192,7 @@ class SweepJobs:
         }
         for uid in job["unit_ids"]:
             outcomes[self.queue.cancel_unit(uid)] += 1
-        self._emit("job.cancel", job=jid, **outcomes)
+        self.queue.emit("job.cancel", job=jid, **outcomes)
         return {"job": jid, **outcomes}
 
     def in_flight(self) -> int:

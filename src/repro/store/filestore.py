@@ -269,6 +269,9 @@ class FileStore(ResultStore):
         shard bytes in the steady state, however large the store; the full
         reconciliation lives in :meth:`rebuild_index` and :meth:`gc`.
         """
+        # Fingerprint before reading: a line appended after this stat shows
+        # as a change on the next refresh instead of being hidden by it.
+        seen = self._index_fingerprint()
         counts: Dict[str, int] = {}
         if self._index_path.exists():
             body, truncated = split_lines(self._index_path.read_text(encoding="utf-8"))
@@ -296,7 +299,7 @@ class FileStore(ResultStore):
                         append_line(
                             self._index_append_handle(), {"key": key, "shard": shard}, self.fsync
                         )
-        self._index_seen = self._index_fingerprint()
+        self._index_seen = seen
 
     def refresh(self) -> bool:
         """Make records appended by *other* handles of this store visible.

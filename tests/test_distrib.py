@@ -25,6 +25,12 @@ def _queue(tmp_path, unit_size=2, sweep=GRID, store=None) -> WorkQueue:
     return queue
 
 
+def _steal_victims(queue: WorkQueue, uid: str) -> list:
+    """``stolen_from`` of each steal claim of ``uid``, from the journal."""
+    claims = queue.journal().events(type="unit.claim", unit=uid)
+    return [event["stolen_from"] for event in claims if event["kind"] == "steal"]
+
+
 def _shard_record_count(queue: WorkQueue) -> int:
     """Total records across all worker shards == total executions performed."""
     total = 0
@@ -170,6 +176,14 @@ class TestWorker:
         totals = Worker(queue, worker_id="w2", lease_ttl=60).run()
         assert totals == {"units": 0, "total": 0, "cached": 0, "salvaged": 0, "executed": 0}
 
+    def test_max_units_exit_writes_the_exit_heartbeat(self, tmp_path):
+        queue = _queue(tmp_path)
+        totals = Worker(queue, worker_id="w1", lease_ttl=60, max_units=1).run()
+        assert totals["units"] == 1
+        journal = queue.journal()
+        assert journal.latest_heartbeats()["w1"]["phase"] == "exit"
+        assert len(journal.events(type="worker.exit")) == 1
+
     def test_status_accounts_every_cell(self, tmp_path):
         queue = _queue(tmp_path)
         Worker(queue, worker_id="w1", lease_ttl=60).run()
@@ -196,7 +210,7 @@ class TestLeaseObservability:
 
         assert queue.try_claim(uid, "w2", ttl=60)  # the steal
         claim = queue.read_claim(uid)
-        assert claim["steals"] == 1 and claim["stolen_from"] == "dead"
+        assert claim["steals"] == 1 and _steal_victims(queue, uid) == ["dead"]
         status = queue.status()
         assert status["steals"] == 1 and status["expired"] == 0
         states = {entry["unit"]: entry for entry in queue.unit_states()}
@@ -224,9 +238,68 @@ class TestLeaseObservability:
         assert queue.try_claim(uid, "w2", ttl=-1)  # steal #1, also expired
         assert queue.try_claim(uid, "w2", ttl=60)  # own reclaim: not a steal
         claim = queue.read_claim(uid)
-        assert claim["steals"] == 1 and claim["stolen_from"] == "dead"
+        assert claim["steals"] == 1 and _steal_victims(queue, uid) == ["dead"]
         # w2's reclaim installed a live 60s lease, so w3 cannot win it.
         assert not queue.try_claim(uid, "w3", ttl=60)
+
+    def test_claim_file_holds_the_lease_and_the_steal_count_only(self, tmp_path):
+        queue = _queue(tmp_path)
+        uid = queue.units()[0]
+        lease_keys = {"unit", "worker", "created", "expires", "steals"}
+        assert queue.try_claim(uid, "dead", ttl=-1)  # fresh
+        assert set(queue.read_claim(uid)) == lease_keys
+        assert queue.try_claim(uid, "w2", ttl=-1)  # steal
+        assert set(queue.read_claim(uid)) == lease_keys
+        assert queue.try_claim(uid, "w2", ttl=60)  # reclaim
+        assert set(queue.read_claim(uid)) == lease_keys
+        assert queue.renew_claim(uid, "w2", ttl=60)
+        assert set(queue.read_claim(uid)) == lease_keys
+
+    def test_status_folds_unit_states(self, tmp_path):
+        sweep = SweepSpec(sizes=(4, 6), seeds=(0, 1, 2, 3), name="distrib-states")
+        queue = _queue(tmp_path, unit_size=1, sweep=sweep)
+        first = queue.units()[0]
+        assert queue.try_claim(first, "dead", ttl=-1)
+        Worker(queue, worker_id="w1", max_units=1, journal=False).run()  # stolen, done
+        done, cancelled, claimed, expired, stolen, restolen, pending, _ = queue.units()
+        assert done == first
+        assert queue.cancel_unit(cancelled) == "cancelled"
+        assert queue.try_claim(claimed, "w2", ttl=60)
+        assert queue.try_claim(expired, "dead", ttl=-1)
+        assert queue.try_claim(stolen, "dead", ttl=-1)
+        assert queue.try_claim(stolen, "w3", ttl=60)
+        # Stolen, and the stealer's lease expired too: pending with steals=1.
+        assert queue.try_claim(restolen, "dead", ttl=-1)
+        assert queue.try_claim(restolen, "dead2", ttl=-1)
+
+        now = time.time()
+        states = queue.unit_states(now=now)
+        status = queue.status(now=now)
+        by_unit = {entry["unit"]: entry for entry in states}
+        assert [by_unit[u]["state"] for u in (done, cancelled, claimed, expired)] == [
+            "done",
+            "cancelled",
+            "claimed",
+            "pending",
+        ]
+        assert [by_unit[u]["state"] for u in (stolen, restolen, pending)] == [
+            "claimed",
+            "pending",
+            "pending",
+        ]
+        assert status["units"] == len(states) == 8
+        assert status["cells"] == sum(entry["cells"] for entry in states)
+        for state in ("done", "cancelled", "claimed", "pending"):
+            assert status[state] == sum(1 for e in states if e["state"] == state)
+        assert status["expired"] == sum(1 for e in states if e.get("lease_expired"))
+        finished = [e for e in states if e["state"] == "done"]
+        for counter in ("executed", "salvaged", "cached"):
+            assert status[counter] == sum(e[counter] for e in finished)
+        # A pending unit's expired claim still counts its steal, though the
+        # per-unit snapshot shows no lease details for pending units.
+        assert "steals" not in by_unit[restolen]
+        assert status["steals"] == sum(e.get("steals", 0) for e in states) + 1 == 3
+        assert queue.status([claimed, restolen], now=now)["steals"] == 1
 
     def test_cli_status_prints_lease_counters(self, tmp_path, capsys):
         queue = _queue(tmp_path)
@@ -279,7 +352,7 @@ class TestLeaseRenewal:
         assert queue.try_claim(uid, "w2", ttl=60)
         assert queue.renew_claim(uid, "w2", ttl=60) is True
         claim = queue.read_claim(uid)
-        assert claim["steals"] == 1 and claim["stolen_from"] == "dead"
+        assert claim["steals"] == 1 and _steal_victims(queue, uid) == ["dead"]
 
     def test_worker_heartbeat_renews_mid_unit(self, tmp_path):
         """A unit longer than the lease TTL finishes under its first owner

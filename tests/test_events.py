@@ -227,7 +227,7 @@ class TestFabricJournal:
         )
         timeline = sweep_timeline(journal)[uid]
         assert [c["kind"] for c in timeline["claims"]] == ["fresh", "steal"]
-        assert [e["worker"] for e in timeline["expires"]] == ["dead"]
+        assert [c.get("stolen_from") for c in timeline["claims"]] == [None, "dead"]
 
     def test_cancelled_unit_lands_in_the_timeline(self, tmp_path):
         queue = _queue(tmp_path)
@@ -302,11 +302,11 @@ class TestSigkilledWorker:
             assert entry["done"] is not None
             assert set(entry["cells"]) == set(queue.load_unit(uid).keys)
             assert entry["claims"], f"unit {uid} finished without a claim event"
-        # A stolen unit carries its expiry evidence.
+        # A stolen unit's steal claim names the expired victim.
         for uid, entry in timeline.items():
-            kinds = [c["kind"] for c in entry["claims"]]
-            if "steal" in kinds:
-                assert any(e["worker"] == "doomed" for e in entry["expires"])
+            steals = [c for c in entry["claims"] if c["kind"] == "steal"]
+            if steals:
+                assert any(c.get("stolen_from") == "doomed" for c in steals)
 
         # Durable ordering: every journalled executed cell has a store line.
         with FileStore(tmp_path / "merged") as merged:

@@ -495,6 +495,16 @@ class TestSweepJobsDirect:
         Worker(str(tmp_path / "q"), worker_id="w0", poll=0.01).run()
         assert jobs.in_flight() == 0
 
+    def test_metrics_reads_in_flight_once_per_scrape(self, tmp_path):
+        service = ResultService(MemoryStore(), queue=tmp_path / "q")
+        service.jobs.submit(SweepSpec(sizes=(4,), seeds=(0,), name="g"))
+        in_flight, calls = service.jobs.in_flight, []
+        service.jobs.in_flight = lambda: calls.append(1) or in_flight()
+        payload = body_of(service.handle("GET", "/metrics"))
+        assert payload["sweeps_in_flight"] == 1 and len(calls) == 1
+        prom = service.handle("GET", "/metrics", {"format": "prom"})
+        assert b"serve_sweeps_in_flight 1" in prom.body and len(calls) == 2
+
 
 class TestEventsEndpoint:
     def _drained_service(self, tmp_path):

@@ -84,6 +84,33 @@ class TestWriterNamespaces:
             for record in records:
                 assert merged.get(record.spec) == record
 
+    def test_refresh_sees_a_put_that_lands_while_the_index_loads(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "s"
+        first, second, racing = (_record(size) for size in (4, 5, 6))
+        writer = FileStore(root, writer="w")
+        writer.put(first)
+        reader = FileStore(root)
+        writer.put(second)
+        fingerprint, calls = FileStore._index_fingerprint, []
+
+        def append_during_reload(store):
+            # refresh() stats once to detect the change, then reloads; the
+            # racing put lands inside that reload.
+            if store is reader:
+                calls.append(1)
+                if len(calls) == 2:
+                    writer.put(racing)
+            return fingerprint(store)
+
+        monkeypatch.setattr(FileStore, "_index_fingerprint", append_during_reload)
+        reader.refresh()
+        reader.refresh()
+        assert reader.get(racing.spec) == racing
+        reader.close()
+        writer.close()
+
     def test_multiprocess_writers_one_store(self, tmp_path):
         """Satellite: concurrent multi-process writers against one FileStore."""
         import repro
