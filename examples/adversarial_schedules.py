@@ -24,10 +24,10 @@ Run with::
 
 from __future__ import annotations
 
-from repro.analysis.tables import format_table
 from repro.exploration.cost_model import SimulationCostModel
 from repro.runtime import ScenarioSpec
 from repro.runtime.executors import run_sweep
+from repro.tables import format_table
 
 ADVERSARIES = [
     ("round robin (fair)", "round_robin", {}),

@@ -24,8 +24,8 @@ Run with::
 from __future__ import annotations
 
 from repro.analysis.experiment_spec import experiment_spec, run_experiment
-from repro.analysis.tables import format_table
 from repro.store import MemoryStore
+from repro.tables import format_table
 
 SIZES = (4, 8, 16)
 LABELS = (1, 4, 16, 64, 256)

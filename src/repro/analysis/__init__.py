@@ -17,8 +17,9 @@ Public API
 * fitting: :func:`~repro.analysis.fitting.fit_power_law`,
   :func:`~repro.analysis.fitting.fit_exponential`,
   :func:`~repro.analysis.fitting.classify_growth`
-* tables: :func:`~repro.analysis.tables.format_table`,
-  :func:`~repro.analysis.tables.format_records`
+* tables: :func:`~repro.tables.format_table`, re-exported from the leaf
+  module :mod:`repro.tables` (the one aligned-text renderer, which the
+  observability layer shares)
 """
 
 from .aggregate import (
@@ -42,7 +43,7 @@ from .experiment_spec import (
 )
 from .fitting import FitResult, classify_growth, fit_exponential, fit_power_law
 from .render import FORMATS, TableData, render
-from .tables import format_records, format_table
+from ..tables import format_table
 from ..ticksim import experiments as _tick_experiments  # noqa: F401  (registers T1-T3)
 
 __all__ = [
@@ -68,6 +69,5 @@ __all__ = [
     "FORMATS",
     "TableData",
     "render",
-    "format_records",
     "format_table",
 ]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple
 
 from ..exceptions import ReproError
-from .tables import format_table
+from ..tables import format_table
 
 __all__ = ["TableData", "FORMATS", "render"]
 

@@ -115,9 +115,9 @@ from .analysis.experiment_spec import (
     run_experiment,
 )
 from .analysis.render import FORMATS
-from .analysis.tables import format_table
 from .exceptions import ReproError
 from .obs.analytics import (
+    format_profile,
     format_trace_diff,
     format_trace_top,
     load_traces,
@@ -127,7 +127,6 @@ from .obs.analytics import (
 )
 from .obs.events import fleet_summary, format_event, format_fleet
 from .obs.metrics import MetricsRegistry, enable_metrics, set_registry
-from .obs.profile import format_profile
 from .runtime import (
     GRAPH_FAMILIES,
     INTERLEAVERS,
@@ -144,8 +143,21 @@ from .serve import DEFAULT_PORT as SERVE_DEFAULT_PORT
 from .serve import ResultService, make_server
 from .store import DEFAULT_STORE_DIR, FileStore, merge_stores
 from .store.merge import ON_CONFLICT_CHOICES
+from .tables import format_table
 
 __all__ = ["main", "build_parser"]
+
+
+def _row_limit(text: str) -> int:
+    """``--limit N``: how many rows to print, so 0 prints none and a negative
+    count is a usage error rather than a slice from the wrong end."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -565,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tail.add_argument(
         "--limit",
-        type=int,
+        type=_row_limit,
         default=None,
         metavar="N",
         help="print only the last N matching events (default: all)",
@@ -598,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"result store holding the traced records (default: {DEFAULT_STORE_DIR})",
     )
     trace_diff_cmd.add_argument(
-        "--limit", type=int, default=None, help="show only the top N components"
+        "--limit", type=_row_limit, default=None, help="show only the top N components"
     )
 
     trace_top_cmd = trace_sub.add_parser(
@@ -611,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"result store to aggregate (default: {DEFAULT_STORE_DIR})",
     )
     trace_top_cmd.add_argument(
-        "--limit", type=int, default=15, help="rows to show (default: 15)"
+        "--limit", type=_row_limit, default=15, help="rows to show (default: 15)"
     )
 
     serve = subparsers.add_parser(
@@ -1273,7 +1285,8 @@ def _run_tail(args: argparse.Namespace) -> int:
     journal = queue.journal()
     filters = {"type": args.type, "worker": args.worker, "unit": args.unit}
     events = journal.events(**filters)
-    for event in events if args.limit is None else events[-args.limit :]:
+    shown = events if args.limit is None else events[max(0, len(events) - args.limit) :]
+    for event in shown:
         print(format_event(event))
     if not args.follow:
         return 0

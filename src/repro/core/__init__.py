@@ -11,7 +11,11 @@ Public API
   :class:`~repro.core.rendezvous.RendezvousController`
 * the exponential baseline: :func:`~repro.core.baseline.run_baseline_rendezvous`,
   :class:`~repro.core.baseline.BaselineController`
-* analytic bounds: :func:`~repro.core.bounds.compare_bounds`
+
+The analytic bounds — Theorem 3.1's ``Π(n, |L|)`` and the baseline's
+exponential trajectory length — live in the cost model
+(:mod:`repro.exploration.cost_model`); the ``bounds`` problem and
+experiment E3 compare them per (n, label).
 """
 
 from .labels import (
@@ -39,7 +43,6 @@ from .trajectories import (
 )
 from .rendezvous import RendezvousController, rv_route, run_rendezvous
 from .baseline import BaselineController, baseline_route, run_baseline_rendezvous
-from .bounds import BoundComparison, compare_bounds, growth_exponent_estimate
 
 __all__ = [
     "binary_bits",
@@ -67,7 +70,4 @@ __all__ = [
     "BaselineController",
     "baseline_route",
     "run_baseline_rendezvous",
-    "BoundComparison",
-    "compare_bounds",
-    "growth_exponent_estimate",
 ]

@@ -1,6 +1,6 @@
 """Process-local observability: metrics, run tracing and profiling.
 
-Three pieces, all zero-dependency and stdlib-only:
+Four pieces, all zero-dependency and stdlib-only:
 
 * :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry` of
   counters / gauges / histograms with labels, rendered as JSON or Prometheus
@@ -10,13 +10,12 @@ Three pieces, all zero-dependency and stdlib-only:
 * :mod:`repro.obs.trace` — a per-run :class:`Tracer` of spans, deterministic
   counters and bounded events, summarised into a JSON-serialisable
   :class:`RunTrace` that travels in ``RunRecord.extra["trace"]``.
-* :mod:`repro.obs.profile` — renders a trace as a profile table attributing
-  wall time across the named spans.
+* :mod:`repro.obs.analytics` — the one trace reader: a run's profile table
+  (``repro run --profile``), engine coverage, and the cross-run
+  ``repro trace diff`` / ``repro trace top`` tables, all over one span tree.
 * :mod:`repro.obs.events` — the durable fleet event journal (append-only
   JSONL shards, one per writer) plus worker heartbeats and the fleet
   summary behind ``repro top`` / ``GET /fleet``.
-* :mod:`repro.obs.analytics` — cross-run trace aggregation: rollups,
-  outlier flagging, ``repro trace diff`` / ``repro trace top``.
 
 Metric name inventory (all from the process-wide registry unless noted):
 
@@ -39,11 +38,11 @@ name                                        kind       source
 """
 
 from .analytics import (
-    format_rollup,
+    engine_coverage,
+    format_profile,
     format_trace_diff,
     format_trace_top,
     load_traces,
-    rollup,
     span_components,
     trace_diff,
     trace_top,
@@ -68,7 +67,6 @@ from .metrics import (
     get_registry,
     set_registry,
 )
-from .profile import engine_coverage, format_profile
 from .trace import (
     RunTrace,
     TRACE_SCHEMA_VERSION,
@@ -104,8 +102,6 @@ __all__ = [
     "format_fleet",
     "sweep_timeline",
     "load_traces",
-    "rollup",
-    "format_rollup",
     "span_components",
     "trace_diff",
     "format_trace_diff",

@@ -1,46 +1,63 @@
-"""Cross-run trace analytics: rollups, outliers, and span-level diffs.
+"""Reading traces: one run's profile, and analytics across many runs.
 
-PR 7's tracer persists one ``RunTrace`` payload per traced run inside
-``RunRecord.extra["trace"]``; this module is the layer that reads them *in
-aggregate* across a store.  Three views:
+The run tracer persists one ``RunTrace`` payload per traced run inside
+``RunRecord.extra["trace"]``; this module is the one layer that reads them.
+Three views:
 
-* :func:`rollup` — span-time statistics grouped by record fields
-  (problem / family / n by default), with outlier runs flagged;
+* :func:`format_profile` — one run's spans as a profile table attributing
+  wall time relative to a root span (the ``repro run --profile`` table);
 * :func:`trace_top` — which spans dominate wall time across a whole store
   (the ``repro trace top`` table);
 * :func:`trace_diff` — attribute the wall-time delta between two runs to
   named spans (the ``repro trace diff`` table), so a perfgate regression
   points at ``engine.apply.sweep``, not just at a number.
 
-The diff works on *components*: the span hierarchy (known from
-:mod:`repro.obs.profile`'s child-span constants, extended by the dotted
-span-name convention) partitions the root span's seconds exactly — every
-leaf span contributes its own time and every internal span contributes a
-``(self)`` residual — so summing component deltas reproduces the total
-delta and attribution is complete by construction.
+All three rest on one span tree: the known hierarchy below, extended by the
+dotted span-name convention.  :func:`span_components` partitions the root
+span's seconds exactly — every leaf span contributes its own time and every
+internal span contributes a ``(self)`` residual — so summing component
+deltas reproduces the total delta and attribution is complete by
+construction.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .profile import APPLY_CHILD_SPANS, ENGINE_CHILD_SPANS
+from ..tables import format_table
 
 __all__ = [
     "trace_of",
     "load_traces",
     "span_parent",
     "span_components",
+    "engine_coverage",
+    "format_profile",
     "trace_diff",
     "format_trace_diff",
-    "rollup",
-    "format_rollup",
     "trace_top",
     "format_trace_top",
 ]
 
 #: Default root span: the whole scenario.
 ROOT_SPAN = "run"
+
+#: Spans that partition the engine loop (children of ``engine.run``).
+ENGINE_CHILD_SPANS = (
+    "engine.bootstrap",
+    "scheduler.decide",
+    "engine.apply",
+    "engine.check_termination",
+)
+
+#: Spans that break down ``engine.apply``: the sweep over the traversed
+#: edge's occupants versus the neighbor-index/lattice maintenance.  Whatever
+#: apply time neither covers (action dispatch, program driving) is the
+#: ``engine.apply (self)`` component.
+APPLY_CHILD_SPANS = (
+    "engine.apply.sweep",
+    "engine.apply.index",
+)
 
 #: Explicit parent edges of the known span hierarchy; unknown dotted names
 #: fall back to their longest dot-prefix ancestor present in the trace.
@@ -49,9 +66,6 @@ SPAN_PARENTS: Dict[str, str] = {
     **{name: "engine.run" for name in ENGINE_CHILD_SPANS},
     **{name: "engine.apply" for name in APPLY_CHILD_SPANS},
 }
-
-#: A run whose root span exceeds ``threshold × group median`` is an outlier.
-OUTLIER_THRESHOLD = 3.0
 
 
 def trace_of(record: Any) -> Optional[Dict[str, Any]]:
@@ -148,6 +162,90 @@ def _root_seconds(trace: Mapping[str, Any], root: str) -> float:
 
 
 # ----------------------------------------------------------------------
+# one run's profile
+# ----------------------------------------------------------------------
+def engine_coverage(trace: Mapping[str, Any]) -> Optional[float]:
+    """Fraction of ``engine.run`` wall time attributed to its child spans.
+
+    ``None`` when the trace holds no engine span (e.g. an ESST run, which is
+    adversary-free and never enters the engine).
+    """
+    spans = trace.get("spans", {})
+    total = spans.get("engine.run", {}).get("seconds", 0.0)
+    if not total:
+        return None
+    attributed = sum(
+        spans.get(name, {}).get("seconds", 0.0) for name in ENGINE_CHILD_SPANS
+    )
+    return attributed / total
+
+
+def format_profile(trace: Mapping[str, Any], root: str = ROOT_SPAN) -> str:
+    """Aligned profile table: span, calls, seconds, % of the root span.
+
+    ``root`` is ``run`` (the whole scenario) by default, or ``engine.run``
+    to profile just the engine loop.  Spans nest, so percentages of non-root
+    spans may sum near 100% *within* their parent while the parent itself
+    also appears.  Spans are sorted by accumulated seconds, descending; the
+    root span leads.  The engine coverage and the ``engine.apply`` breakdown
+    (its sweep, index and ``(self)`` components) follow, then a counters
+    section with the deterministic tallies (decisions, agents scanned,
+    ``Fraction`` ops), since a profile without the work counts behind the
+    times only tells half the story.
+    """
+    spans = trace.get("spans", {})
+    total = spans.get(root, {}).get("seconds", 0.0)
+    if not total:
+        # Fall back to the largest span so the table degrades gracefully.
+        total = max((span.get("seconds", 0.0) for span in spans.values()), default=0.0)
+
+    ordered = sorted(
+        spans.items(),
+        key=lambda item: (item[0] != root, -item[1].get("seconds", 0.0), item[0]),
+    )
+    rows = []
+    for name, span in ordered:
+        seconds = span.get("seconds", 0.0)
+        share = f"{100.0 * seconds / total:5.1f}%" if total else "    -"
+        rows.append((name, str(int(span.get("count", 0))), f"{seconds:.6f}", share))
+    lines = [format_table(("span", "calls", "seconds", f"% of {root}"), rows)]
+
+    coverage = engine_coverage(trace)
+    if coverage is not None:
+        lines.append("")
+        lines.append(
+            f"engine coverage: {100.0 * coverage:.1f}% of engine.run attributed "
+            f"to {', '.join(ENGINE_CHILD_SPANS)}"
+        )
+    apply_seconds = spans.get("engine.apply", {}).get("seconds")
+    if apply_seconds:
+        components = span_components(trace)
+        # A childless engine.apply is a leaf component: all of it is "other".
+        other = components.get("engine.apply (self)", components.get("engine.apply", 0.0))
+        sweep, index = (components.get(name, 0.0) for name in APPLY_CHILD_SPANS)
+        lines.append(
+            "engine.apply breakdown: "
+            f"sweep {100.0 * sweep / apply_seconds:.1f}%, "
+            f"index maintenance {100.0 * index / apply_seconds:.1f}%, "
+            f"other {100.0 * other / apply_seconds:.1f}%"
+        )
+
+    counters = trace.get("counters", {})
+    if counters:
+        lines.append("")
+        lines.append("counters:")
+        width = max(len(name) for name in counters)
+        for name in sorted(counters):
+            lines.append(f"  {name.ljust(width)}  {counters[name]}")
+    dropped = trace.get("events_dropped", 0)
+    events = trace.get("events", ())
+    if events or dropped:
+        lines.append("")
+        lines.append(f"events: {len(events)} recorded, {dropped} dropped")
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
 # diff
 # ----------------------------------------------------------------------
 def trace_diff(
@@ -212,138 +310,12 @@ def format_trace_diff(diff: Mapping[str, Any], *, limit: Optional[int] = None) -
         )
         for row in rows
     ]
-    headers = ("span", "a", "b", "delta", "% of delta")
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in table)) if table else len(headers[i])
-        for i in range(5)
-    ]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in table:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    lines.append("")
-    lines.append(
+    footer = (
         f"{diff['root']}: {diff['seconds_a']:.6f}s -> {diff['seconds_b']:.6f}s  "
         f"(delta {diff['delta']:+.6f}s, {100.0 * diff['attribution']:.1f}% "
         "attributed to spans above)"
     )
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# rollups
-# ----------------------------------------------------------------------
-def _group_value(record: Any, name: str) -> Any:
-    try:
-        return getattr(record, name)
-    except AttributeError:
-        return record.extra_dict.get(name)
-
-
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def rollup(
-    traced: Iterable[Tuple[str, Any, Mapping[str, Any]]],
-    *,
-    group_by: Sequence[str] = ("problem", "family", "n"),
-    root: str = ROOT_SPAN,
-    outlier_threshold: float = OUTLIER_THRESHOLD,
-) -> List[Dict[str, Any]]:
-    """Span-time statistics per record group, outliers flagged.
-
-    ``traced`` is :func:`load_traces` output.  Each returned row carries the
-    group values, run count, mean/max root seconds, per-span mean seconds
-    with their share of the root, total ``events_dropped``, and the keys of
-    outlier runs (root seconds beyond ``outlier_threshold ×`` the group
-    median — median-based so one slow machine does not mask itself).
-    """
-    groups: Dict[Tuple, List[Tuple[str, Any, Mapping[str, Any]]]] = {}
-    for item in traced:
-        group = tuple(_group_value(item[1], name) for name in group_by)
-        groups.setdefault(group, []).append(item)
-
-    rows: List[Dict[str, Any]] = []
-    for group in sorted(groups, key=lambda g: tuple(str(v) for v in g)):
-        items = groups[group]
-        roots = [_root_seconds(trace, root) for _key, _record, trace in items]
-        median = _median(roots)
-        outliers = [
-            key
-            for (key, _record, trace), seconds in zip(items, roots)
-            if median > 0 and seconds > outlier_threshold * median
-        ]
-        span_totals: Dict[str, float] = {}
-        dropped = 0
-        for _key, _record, trace in items:
-            for name, span in trace.get("spans", {}).items():
-                span_totals[name] = span_totals.get(name, 0.0) + float(
-                    span.get("seconds", 0.0)
-                )
-            dropped += int(trace.get("events_dropped", 0))
-        total_root = sum(roots)
-        rows.append(
-            {
-                "group": dict(zip(group_by, group)),
-                "runs": len(items),
-                "seconds_mean": total_root / len(items) if items else 0.0,
-                "seconds_max": max(roots, default=0.0),
-                "spans": {
-                    name: {
-                        "seconds_mean": seconds / len(items),
-                        "share": (seconds / total_root) if total_root else 0.0,
-                    }
-                    for name, seconds in sorted(span_totals.items())
-                },
-                "events_dropped": dropped,
-                "outliers": outliers,
-            }
-        )
-    return rows
-
-
-def format_rollup(rows: Sequence[Mapping[str, Any]]) -> str:
-    """Compact rollup table: one line per group, top span named."""
-    table = []
-    for row in rows:
-        group = row["group"]
-        label = " ".join(f"{k}={v}" for k, v in group.items())
-        spans = row.get("spans", {})
-        top = max(spans, key=lambda n: spans[n]["seconds_mean"], default="-")
-        flags = []
-        if row.get("outliers"):
-            flags.append(f"{len(row['outliers'])} outlier(s)")
-        if row.get("events_dropped"):
-            flags.append(f"{row['events_dropped']} events dropped")
-        table.append(
-            (
-                label,
-                str(row["runs"]),
-                f"{row['seconds_mean']:.6f}",
-                f"{row['seconds_max']:.6f}",
-                top,
-                ", ".join(flags) if flags else "-",
-            )
-        )
-    headers = ("group", "runs", "mean s", "max s", "top span", "flags")
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in table)) if table else len(headers[i])
-        for i in range(6)
-    ]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in table:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
+    return format_table(("span", "a", "b", "delta", "% of delta"), table) + "\n\n" + footer
 
 
 # ----------------------------------------------------------------------
@@ -397,19 +369,5 @@ def format_trace_top(top: Mapping[str, Any]) -> str:
         )
         for row in top["spans"]
     ]
-    headers = ("span", "runs", "seconds", "% of total")
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in table)) if table else len(headers[i])
-        for i in range(4)
-    ]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in table:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    lines.append("")
-    lines.append(
-        f"{top['runs']} traced run(s), {top['total_seconds']:.6f}s total wall time"
-    )
-    return "\n".join(lines)
+    footer = f"{top['runs']} traced run(s), {top['total_seconds']:.6f}s total wall time"
+    return format_table(("span", "runs", "seconds", "% of total"), table) + "\n\n" + footer

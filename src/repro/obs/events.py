@@ -54,6 +54,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from ..exceptions import ReproError
 from ..fileio import append_line, atomic_write, json_line, split_lines
+from ..tables import format_table
 
 __all__ = [
     "EventJournal",
@@ -505,13 +506,7 @@ def format_fleet(summary: Mapping[str, Any]) -> str:
                 state,
             )
         )
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows)) for i in range(len(headers))
-    ]
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+    lines.append(format_table(headers, rows))
     return "\n".join(lines)
 
 

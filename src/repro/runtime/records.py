@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import ReproError
+from ..tables import format_table
 from .spec import ScenarioSpec, SweepSpec
 
 __all__ = ["RunRecord", "SweepResult", "resolve_field"]
@@ -294,28 +295,10 @@ class SweepResult:
         """
         rows = []
         for record in self.records:
-            row = []
-            for name in fields:
-                value = resolve_field(record, name, default="")
-                if isinstance(value, bool):
-                    value = "yes" if value else "no"
-                elif isinstance(value, float):
-                    value = f"{value:.3g}"
-                row.append(str(value))
-            rows.append(row)
-        widths = [
-            max(len(str(name)), *(len(row[index]) for row in rows)) if rows else len(str(name))
-            for index, name in enumerate(fields)
-        ]
-        lines = []
-        if title:
-            lines.append(title)
-            lines.append("=" * max(len(title), 8))
-        lines.append("  ".join(str(name).ljust(widths[i]) for i, name in enumerate(fields)))
-        lines.append("  ".join("-" * width for width in widths))
-        for row in rows:
-            lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-        return "\n".join(lines)
+            values = [resolve_field(record, name, default="") for name in fields]
+            # Floats as ``.3g``, not the shared renderer's three decimals.
+            rows.append([f"{value:.3g}" if isinstance(value, float) else value for value in values])
+        return format_table(fields, rows, title=title)
 
     def to_dict(self) -> Dict[str, Any]:
         return {

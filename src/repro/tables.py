@@ -1,16 +1,16 @@
-"""Plain-text result tables.
+"""The one aligned monospace table renderer.
 
-The paper has no empirical tables, so the reproduction's "tables" are the
-experiment summaries defined in EXPERIMENTS.md.  This module renders them as
-aligned monospace tables (the benchmarks print them, the CLI shows them, and
-EXPERIMENTS.md embeds them).
+Every plain-text report renders through :func:`format_table`: the experiment
+summaries, ``SweepResult.table``, the run profile, ``repro trace top`` /
+``repro trace diff`` and the ``repro top`` fleet screen.  This module imports
+nothing from ``repro``, so any layer can use it without import cycles.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, List, Sequence
 
-__all__ = ["format_table", "format_records"]
+__all__ = ["format_table"]
 
 
 def _render_cell(value: Any) -> str:
@@ -26,7 +26,13 @@ def _render_cell(value: Any) -> str:
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]], title: str = "") -> str:
-    """Render ``rows`` under ``headers`` as an aligned monospace table."""
+    """Render ``rows`` under ``headers`` as an aligned monospace table.
+
+    Columns are two spaces apart and every cell, the last included, is
+    padded to its column's width.  Floats render with three decimals (three
+    significant digits outside ``[0.01, 1000)``) and booleans as
+    ``yes``/``no``; callers wanting another format pass strings.
+    """
     rendered_rows: List[List[str]] = [[_render_cell(cell) for cell in row] for row in rows]
     widths = [len(str(header)) for header in headers]
     for row in rendered_rows:
@@ -48,14 +54,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]], title: s
     for row in rendered_rows:
         lines.append(render_line(row))
     return "\n".join(lines)
-
-
-def format_records(records: Iterable[Any], fields: Sequence[str], title: str = "") -> str:
-    """Render a list of objects (dataclasses or dicts) as a table of ``fields``."""
-    rows = []
-    for record in records:
-        if isinstance(record, dict):
-            rows.append([record.get(field, "") for field in fields])
-        else:
-            rows.append([getattr(record, field, "") for field in fields])
-    return format_table(fields, rows, title=title)

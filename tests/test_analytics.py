@@ -1,4 +1,4 @@
-"""Tests of cross-run trace analytics: components, diffs, rollups, top."""
+"""Tests of cross-run trace analytics: components, diffs, top."""
 
 from __future__ import annotations
 
@@ -6,11 +6,9 @@ import pytest
 
 from repro.cli import main
 from repro.obs.analytics import (
-    format_rollup,
     format_trace_diff,
     format_trace_top,
     load_traces,
-    rollup,
     span_components,
     span_parent,
     trace_diff,
@@ -121,43 +119,7 @@ class TestTraceDiff:
 
 
 class TestRollup:
-    def _store(self):
-        store = MemoryStore()
-        for size in (4, 4, 6):
-            store.put(run(ScenarioSpec(size=size, seed=size), trace=True))
-        return store
-
-    def test_groups_by_problem_family_n(self):
-        store = self._store()
-        traced = load_traces(store)
-        assert len(traced) == 2  # same spec twice dedups in the store
-        rows = rollup(traced)
-        assert [row["group"]["n"] for row in rows] == [4, 6]
-        for row in rows:
-            assert row["runs"] == 1
-            assert row["seconds_mean"] > 0
-            assert "engine.run" in row["spans"]
-            assert row["outliers"] == []
-
-    def test_outliers_flagged_against_the_group_median(self):
-        traced = [
-            ("k1", None, _trace({"run": 1.0})),
-            ("k2", None, _trace({"run": 1.1})),
-            ("k3", None, _trace({"run": 0.9})),
-            ("k4", None, _trace({"run": 50.0})),
-        ]
-        rows = rollup(traced, group_by=())
-        assert rows[0]["outliers"] == ["k4"]
-
-    def test_events_dropped_totalled(self):
-        traced = [
-            ("k1", None, {**_trace({"run": 1.0}), "events_dropped": 3}),
-            ("k2", None, {**_trace({"run": 1.0}), "events_dropped": 2}),
-        ]
-        rows = rollup(traced, group_by=())
-        assert rows[0]["events_dropped"] == 5
-        rendered = format_rollup(rows)
-        assert "5 events dropped" in rendered
+    """What :func:`load_traces` reads from a mixed store."""
 
     def test_untraced_records_are_skipped(self):
         store = MemoryStore()
@@ -217,6 +179,30 @@ class TestTraceCli:
                      "--store", store_dir]) == 0
         out = capsys.readouterr().out
         assert "% of delta" in out and "attributed" in out
+
+    def test_limit_zero_prints_no_rows(self, tmp_path, capsys):
+        store_dir = self._traced_store(tmp_path)
+        with FileStore(store_dir, create=False) as store:
+            keys = sorted(store.keys())
+        for argv in (["trace", "top"], ["trace", "diff", keys[0], keys[1]]):
+            capsys.readouterr()
+            assert main(argv + ["--store", store_dir, "--limit", "0"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            # Header, rule, then straight to the blank line before the footer.
+            assert lines[1].startswith("----") and lines[2] == ""
+
+    @pytest.mark.parametrize("command", ["top", "diff"])
+    @pytest.mark.parametrize("limit", ["-2", "two"])
+    def test_bad_limit_is_a_usage_error(self, tmp_path, capsys, command, limit):
+        store_dir = self._traced_store(tmp_path)
+        with FileStore(store_dir, create=False) as store:
+            keys = sorted(store.keys())
+        argv = ["trace", command] + (keys[:2] if command == "diff" else [])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--store", store_dir, "--limit", limit])
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
 
     def test_trace_diff_rejects_unknown_and_ambiguous_keys(self, tmp_path, capsys):
         store_dir = self._traced_store(tmp_path)

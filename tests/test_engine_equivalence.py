@@ -17,18 +17,27 @@ scenario on the current engine and compares canonical JSON:
 A final randomized cross-check compares the fused loop against the generic
 loop directly (untraced vs traced-stripped) on specs the fixtures do not
 contain, so equivalence does not silently narrow to the golden sample.
+
+Procedure ESST has two stand-alone drivers: the flat ``run_esst`` that the
+experiments use and the generator-driven ``run_esst_reference``, which
+drives ``esst_procedure`` the way the engine drives an agent program.  A
+differential test runs both on every registered graph family and compares
+the whole ``ESSTResult``.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from repro.runtime import ProcessPoolExecutor, ScenarioSpec
+from repro.exploration.esst import run_esst, run_esst_reference
+from repro.runtime import GRAPH_FAMILIES, ProcessPoolExecutor, ScenarioSpec
 from repro.runtime.executors import run_sweep
-from repro.runtime.runner import run
+from repro.runtime.runner import build_graph, run
+from repro.sim.position import Position
 
 from tests.golden.gen_engine_records import (
     FIXTURE_PATH,
@@ -141,3 +150,19 @@ def test_randomized_specs_fused_loop_matches_generic_loop():
         assert canonical(untraced) == canonical(stripped), spec.name
         if spec is budgeted:
             assert untraced["reason"] == "cost_limit"
+
+
+@pytest.mark.parametrize("family", GRAPH_FAMILIES.names())
+@pytest.mark.parametrize("size", [4, 6])
+def test_flat_esst_driver_matches_the_generator_driver(family, size, sim_model):
+    # The token at the highest-numbered node, then strictly inside the
+    # highest edge; the agent always starts at node 0.
+    graph = build_graph(ScenarioSpec(problem="esst", family=family, size=size))
+    tokens = (
+        Position.at_node(max(graph.nodes())),
+        Position.on_edge(max(graph.edges()), Fraction(1, 3)),
+    )
+    for token in tokens:
+        flat = run_esst(graph, 0, token, sim_model)
+        assert flat == run_esst_reference(graph, 0, token, sim_model)
+        assert flat.all_edges_traversed

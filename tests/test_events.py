@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.distrib import Dispatcher, Worker, WorkQueue
 from repro.exceptions import ReproError
 from repro.obs.events import (
@@ -328,6 +329,31 @@ class TestSigkilledWorker:
             assert done["executed"] == statuses.count("executed")
             assert done["salvaged"] == statuses.count("salvaged")
             assert done["cached"] == statuses.count("cached")
+
+
+class TestTailCli:
+    def _drained(self, tmp_path):
+        queue = _queue(tmp_path)
+        Worker(queue, worker_id="w1", lease_ttl=60).run()
+        return str(queue.root), len(queue.journal().events())
+
+    def test_limit_counts_events_from_the_end(self, tmp_path, capsys):
+        root, total = self._drained(tmp_path)
+        capsys.readouterr()
+        assert main(["tail", "--queue", root]) == 0
+        every = capsys.readouterr().out.splitlines()
+        assert len(every) == total
+        for limit, expected in (("0", []), ("3", every[-3:]), (str(total + 5), every)):
+            assert main(["tail", "--queue", root, "--limit", limit]) == 0
+            assert capsys.readouterr().out.splitlines() == expected
+
+    def test_negative_limit_is_a_usage_error(self, tmp_path, capsys):
+        root, _total = self._drained(tmp_path)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["tail", "--queue", root, "--limit", "-1"])
+        assert exc.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
 
 
 class TestFleetSummary:

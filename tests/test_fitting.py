@@ -30,6 +30,23 @@ class TestPowerLawFit:
         fit = fit_power_law(xs, ys)
         assert fit.slope == pytest.approx(degree, rel=1e-6)
 
+    def test_slope_recovers_the_degree_on_doubling_sizes(self):
+        """The slope is the growth exponent the bound experiments report."""
+        xs = [2, 4, 8, 16, 32]
+        assert fit_power_law(xs, [x**3 for x in xs]).slope == pytest.approx(3.0)
+
+    def test_exponential_data_gives_a_slope_beyond_small_degrees(self):
+        xs = [2, 4, 8, 16]
+        assert fit_power_law(xs, [2**x for x in xs]).slope > 3
+
+    def test_rejects_short_mismatched_and_identical_sizes(self):
+        with pytest.raises(ValueError):
+            fit_power_law([1], [1])
+        with pytest.raises(ValueError):
+            fit_power_law([1, 2], [1])
+        with pytest.raises(ValueError):
+            fit_power_law([3, 3, 3], [1, 2, 3])
+
 
 class TestExponentialFit:
     def test_exact_exponential_is_recovered(self):
